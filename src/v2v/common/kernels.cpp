@@ -59,8 +59,9 @@ namespace scalar {
 // they always compile under this TU's -ffp-contract=off (src/CMakeLists):
 // GCC fuses mul+add across statements when FMA is available, and a fused
 // decode would break bit-equality with the mul-then-add SIMD variants.
-// Each accumulates term i into lane i % 8 and reduces with adc_reduce8 —
-// the exact order every SIMD variant reproduces.
+// pq_adc and the sq8 pair accumulate term i into lane i % 8 and reduce
+// with adc_reduce8; pq_lut sums each entry in dimension order like
+// scalar::sqdist. Those are the exact orders every SIMD variant reproduces.
 
 float pq_adc(const float* lut, const std::uint8_t* codes,
              std::size_t m) noexcept {
@@ -69,6 +70,25 @@ float pq_adc(const float* lut, const std::uint8_t* codes,
     lanes[s & 7] += lut[s * kPqLutStride + codes[s]];
   }
   return adc_reduce8(lanes);
+}
+
+void pq_lut(const float* q, const float* book, std::size_t d,
+            float* lut) noexcept {
+  // Dimension-outer, codeword-inner: each entry still sums its d terms in
+  // dimension order (what scalar::sqdist does), and the inner loop runs
+  // over contiguous book rows, so the compiler vectorizes it.
+  double acc[kPqLutStride] = {};
+  for (std::size_t j = 0; j < d; ++j) {
+    const double qj = static_cast<double>(q[j]);
+    const float* row = book + j * kPqLutStride;
+    for (std::size_t c = 0; c < kPqLutStride; ++c) {
+      const double diff = qj - static_cast<double>(row[c]);
+      acc[c] += diff * diff;
+    }
+  }
+  for (std::size_t c = 0; c < kPqLutStride; ++c) {
+    lut[c] = static_cast<float>(acc[c]);
+  }
 }
 
 float sq8_sqdist(const float* q, const std::uint8_t* codes, const float* vmin,
@@ -105,8 +125,8 @@ KernelSet scalar_set() noexcept {
                    &scalar::add,    &scalar::fill,      &scalar::ddot,
                    &scalar::sqdist, &scalar::sqdist_fd, &scalar::add_fd,
                    &scalar::scale_d, &scalar::dot_fd,   &scalar::dot_dd,
-                   &scalar::sqdist_dd, &scalar::pq_adc, &scalar::sq8_sqdist,
-                   &scalar::sq8_dot};
+                   &scalar::sqdist_dd, &scalar::pq_adc, &scalar::pq_lut,
+                   &scalar::sq8_sqdist, &scalar::sq8_dot};
 }
 
 #if V2V_KERNELS_X86
@@ -298,6 +318,8 @@ __attribute__((target("sse2"))) double sse2_sqdist_dd(const double* a,
 // i lands in lane i % 8 in index order, lane spill + scalar tail + the
 // shared adc_reduce8 tree, mul and add kept as separate rounded ops (never
 // fmadd) — so every variant is bit-identical to the scalar reference.
+// pq_lut has no SSE2 variant: the set points at scalar::pq_lut, whose
+// inner loop the compiler already vectorizes at this baseline.
 
 __attribute__((target("sse2"))) float sse2_pq_adc(const float* lut,
                                                   const std::uint8_t* codes,
@@ -408,8 +430,8 @@ KernelSet sse2_set() noexcept {
   return KernelSet{&sse2_dot,    &sse2_axpy,      &sse2_scale,  &sse2_add,
                    &sse2_fill,   &sse2_ddot,      &sse2_sqdist, &sse2_sqdist_fd,
                    &sse2_add_fd, &sse2_scale_d,   &sse2_dot_fd, &sse2_dot_dd,
-                   &sse2_sqdist_dd, &sse2_pq_adc, &sse2_sq8_sqdist,
-                   &sse2_sq8_dot};
+                   &sse2_sqdist_dd, &sse2_pq_adc, &scalar::pq_lut,
+                   &sse2_sq8_sqdist, &sse2_sq8_dot};
 }
 
 // ------------------------------------------------------------ AVX2/FMA --
@@ -631,6 +653,37 @@ __attribute__((target("avx2,fma"))) float avx2_pq_adc(const float* lut,
   return scalar::adc_reduce8(lanes);
 }
 
+__attribute__((target("avx2,fma"))) void avx2_pq_lut(const float* q,
+                                                     const float* book,
+                                                     std::size_t d, float* lut) {
+  // 16 codewords per block in four 4-double accumulators; each entry sums
+  // its d terms in dimension order with mul then add (never fmadd), as
+  // scalar::pq_lut does, then rounds once to float.
+  for (std::size_t c = 0; c < kPqLutStride; c += 16) {
+    __m256d acc0 = _mm256_setzero_pd();
+    __m256d acc1 = _mm256_setzero_pd();
+    __m256d acc2 = _mm256_setzero_pd();
+    __m256d acc3 = _mm256_setzero_pd();
+    for (std::size_t j = 0; j < d; ++j) {
+      const __m256d qj = _mm256_set1_pd(static_cast<double>(q[j]));
+      const float* row = book + j * kPqLutStride + c;
+      const __m256d d0 = _mm256_sub_pd(qj, _mm256_cvtps_pd(_mm_loadu_ps(row)));
+      const __m256d d1 = _mm256_sub_pd(qj, _mm256_cvtps_pd(_mm_loadu_ps(row + 4)));
+      const __m256d d2 = _mm256_sub_pd(qj, _mm256_cvtps_pd(_mm_loadu_ps(row + 8)));
+      const __m256d d3 =
+          _mm256_sub_pd(qj, _mm256_cvtps_pd(_mm_loadu_ps(row + 12)));
+      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(d0, d0));
+      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(d1, d1));
+      acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(d2, d2));
+      acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(d3, d3));
+    }
+    _mm_storeu_ps(lut + c, _mm256_cvtpd_ps(acc0));
+    _mm_storeu_ps(lut + c + 4, _mm256_cvtpd_ps(acc1));
+    _mm_storeu_ps(lut + c + 8, _mm256_cvtpd_ps(acc2));
+    _mm_storeu_ps(lut + c + 12, _mm256_cvtpd_ps(acc3));
+  }
+}
+
 __attribute__((target("avx2,fma"))) float avx2_sq8_sqdist(
     const float* q, const std::uint8_t* codes, const float* vmin,
     const float* scale, std::size_t n) {
@@ -686,8 +739,8 @@ KernelSet avx2_set() noexcept {
   return KernelSet{&avx2_dot,    &avx2_axpy,      &avx2_scale,  &avx2_add,
                    &avx2_fill,   &avx2_ddot,      &avx2_sqdist, &avx2_sqdist_fd,
                    &avx2_add_fd, &avx2_scale_d,   &avx2_dot_fd, &avx2_dot_dd,
-                   &avx2_sqdist_dd, &avx2_pq_adc, &avx2_sq8_sqdist,
-                   &avx2_sq8_dot};
+                   &avx2_sqdist_dd, &avx2_pq_adc, &avx2_pq_lut,
+                   &avx2_sq8_sqdist, &avx2_sq8_dot};
 }
 
 #pragma GCC diagnostic pop
@@ -749,7 +802,8 @@ void neon_fill(float* x, float value, std::size_t n) {
 // contract as the x86 variants (vmulq+vaddq, never vfmaq — bit-parity
 // with the scalar reference). pq_adc stays on the scalar reference: a
 // table gather has no NEON form, and the reference already accumulates in
-// the shared lane order.
+// the shared lane order. pq_lut does too: its sums are double, which this
+// variant keeps scalar.
 
 /// Widens 8 packed code bytes to two float vectors (lanes 0-3 / 4-7).
 inline void neon_codes_to_f32(const std::uint8_t* codes, float32x4_t& lo,
@@ -821,8 +875,8 @@ KernelSet neon_set() noexcept {
                    &neon_add,      &neon_fill,      &scalar::ddot,
                    &scalar::sqdist, &scalar::sqdist_fd, &scalar::add_fd,
                    &scalar::scale_d, &scalar::dot_fd, &scalar::dot_dd,
-                   &scalar::sqdist_dd, &scalar::pq_adc, &neon_sq8_sqdist,
-                   &neon_sq8_dot};
+                   &scalar::sqdist_dd, &scalar::pq_adc, &scalar::pq_lut,
+                   &neon_sq8_sqdist, &neon_sq8_dot};
 }
 
 #endif  // V2V_KERNELS_NEON
@@ -928,6 +982,10 @@ double sqdist_dd(const double* a, const double* b, std::size_t n) noexcept {
 float pq_adc(const float* lut, const std::uint8_t* codes,
              std::size_t m) noexcept {
   return active().set.pq_adc(lut, codes, m);
+}
+void pq_lut(const float* q, const float* book, std::size_t d,
+            float* lut) noexcept {
+  active().set.pq_lut(q, book, d, lut);
 }
 float sq8_sqdist(const float* q, const std::uint8_t* codes, const float* vmin,
                  const float* scale, std::size_t n) noexcept {

@@ -34,9 +34,9 @@
 // so float results may differ by a few ulps across ISAs; the parity suite
 // (tests/common/test_kernels.cpp) bounds the drift on every compiled
 // variant. For a fixed build and machine every path is deterministic.
-// Exception: the quantized kernels (pq_adc, sq8_sqdist, sq8_dot) are
-// BIT-identical across variants — term i lands in lane i % 8, one fixed
-// reduce tree (adc_reduce8), -ffp-contract=off; parity uses EXPECT_EQ.
+// Exception: the quantized kernels (pq_adc, pq_lut, sq8_sqdist, sq8_dot)
+// are BIT-identical across variants — one fixed summation order each (see
+// their references), no FMA, -ffp-contract=off; parity uses EXPECT_EQ.
 #pragma once
 
 #include <cstddef>
@@ -70,6 +70,7 @@ struct KernelSet {
   double (*dot_dd)(const double*, const double*, std::size_t);
   double (*sqdist_dd)(const double*, const double*, std::size_t);
   float (*pq_adc)(const float*, const std::uint8_t*, std::size_t);
+  void (*pq_lut)(const float*, const float*, std::size_t, float*);
   float (*sq8_sqdist)(const float*, const std::uint8_t*, const float*,
                       const float*, std::size_t);
   float (*sq8_dot)(const float*, const std::uint8_t*, const float*,
@@ -211,6 +212,13 @@ inline void scale_d(double* x, double alpha, std::size_t n) noexcept {
 /// codes[s]] — the per-query distance table gather over one packed code.
 [[nodiscard]] float pq_adc(const float* lut, const std::uint8_t* codes,
                            std::size_t m) noexcept;
+/// One subspace's ADC table for PQ: lut[c] = static_cast<float>(
+/// sqdist(q, codeword c, d)) for every c < kPqLutStride, summed in
+/// dimension order in double. `book` is dimension-major: d rows of
+/// kPqLutStride floats, book[j * kPqLutStride + c] = dimension j of
+/// codeword c.
+void pq_lut(const float* q, const float* book, std::size_t d,
+            float* lut) noexcept;
 /// Asymmetric squared distance between a float query and an SQ8 row:
 /// sum of (q[i] - (vmin[i] + scale[i] * codes[i]))².
 [[nodiscard]] float sq8_sqdist(const float* q, const std::uint8_t* codes,
@@ -275,6 +283,10 @@ inline void scale_d(double* x, double alpha, std::size_t n) noexcept {
                                   std::size_t m) noexcept {
   return scalar::pq_adc(lut, codes, m);
 }
+inline void pq_lut(const float* q, const float* book, std::size_t d,
+                   float* lut) noexcept {
+  scalar::pq_lut(q, book, d, lut);
+}
 [[nodiscard]] inline float sq8_sqdist(const float* q, const std::uint8_t* codes,
                                       const float* vmin, const float* scale,
                                       std::size_t n) noexcept {
@@ -305,6 +317,8 @@ void scale_d(double* x, double alpha, std::size_t n) noexcept;
 [[nodiscard]] double sqdist_dd(const double* a, const double* b, std::size_t n) noexcept;
 [[nodiscard]] float pq_adc(const float* lut, const std::uint8_t* codes,
                            std::size_t m) noexcept;
+void pq_lut(const float* q, const float* book, std::size_t d,
+            float* lut) noexcept;
 [[nodiscard]] float sq8_sqdist(const float* q, const std::uint8_t* codes,
                                const float* vmin, const float* scale,
                                std::size_t n) noexcept;

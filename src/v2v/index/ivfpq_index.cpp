@@ -177,23 +177,7 @@ std::unique_ptr<IvfPqIndex> IvfPqIndex::from_snapshot(
     bad_sections("qmet shape out of range");
   }
 
-  out->pq_.dims = out->dims_;
-  out->pq_.m = m;
-  out->pq_.ksub = ksub;
-  out->pq_.sub_offset.assign(m + 1, 0);
-  const std::size_t base = out->dims_ / m;
-  const std::size_t extra = out->dims_ % m;
-  for (std::size_t s = 0; s < m; ++s) {
-    out->pq_.sub_offset[s + 1] = out->pq_.sub_offset[s] + base +
-                                 (s < extra ? 1 : 0);
-  }
-
-  const auto books = snap.section("pqbk");
-  if (books.size() != 256 * out->dims_ * sizeof(float)) {
-    bad_sections("pqbk size does not match 256 x dims");
-  }
-  out->pq_.books.resize(256 * out->dims_);
-  copy_floats(books, out->pq_.books.data(), out->pq_.books.size());
+  out->pq_ = PqCodebooks::from_pqbk(out->dims_, m, ksub, snap.section("pqbk"));
 
   const auto coarse = snap.section("pqcc");
   if (coarse.size() != nlist * out->dims_ * sizeof(float)) {
@@ -217,6 +201,11 @@ std::unique_ptr<IvfPqIndex> IvfPqIndex::from_snapshot(
     bad_sections("pqid size does not match rows");
   }
   out->ids_ = {reinterpret_cast<const std::uint32_t*>(ids.data()), out->rows_};
+  // Served ids index the float matrix in rerank and go back to clients.
+  if (std::any_of(out->ids_.begin(), out->ids_.end(),
+                  [rows = out->rows_](std::uint32_t id) { return id >= rows; })) {
+    bad_sections("pqid holds an id >= rows");
+  }
 
   const auto lists = snap.section("pqls");
   if (lists.size() != (nlist + 1) * sizeof(std::uint64_t)) {
@@ -247,9 +236,7 @@ void IvfPqIndex::save_sections(store::SnapshotBuilder& builder) const {
   meta.nlist = nlist();
   builder.add_section("qmet", encode_quant_meta(meta));
 
-  std::vector<std::uint8_t> books(pq_.books.size() * sizeof(float));
-  std::memcpy(books.data(), pq_.books.data(), books.size());
-  builder.add_section("pqbk", std::move(books));
+  builder.add_section("pqbk", pq_.to_pqbk());
 
   std::vector<std::uint8_t> coarse(nlist() * dims_ * sizeof(float));
   for (std::size_t c = 0; c < nlist(); ++c) {
@@ -332,12 +319,16 @@ void IvfPqIndex::search_into(std::span<const float> query, std::size_t k,
   const bool do_rerank = r_depth > 0 && has_floats_;
   const std::size_t keep =
       std::min(do_rerank ? std::max(k, r_depth) : k, scored.size());
-  std::partial_sort(scored.begin(),
-                    scored.begin() + static_cast<std::ptrdiff_t>(keep),
-                    scored.end(), neighbor_less);
-  scored.resize(keep);
+  const auto keep_end = scored.begin() + static_cast<std::ptrdiff_t>(keep);
   if (do_rerank) {
+    // Rerank re-scores and re-sorts the candidates under the total order
+    // (distance, id), so only the set of the top `keep` matters here.
+    std::nth_element(scored.begin(), keep_end, scored.end(), neighbor_less);
+    scored.resize(keep);
     exact_rerank(floats_, metric_, query, scored, k);
+  } else {
+    std::partial_sort(scored.begin(), keep_end, scored.end(), neighbor_less);
+    scored.resize(keep);
   }
   k = std::min(k, scored.size());
   out.assign(scored.begin(), scored.begin() + static_cast<std::ptrdiff_t>(k));

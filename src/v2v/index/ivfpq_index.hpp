@@ -12,15 +12,15 @@
 //
 // Query: rank coarse cells by squared distance, and for each of the
 // `nprobe` nearest build the ADC lookup table over the query residual
-// (q - coarse_row): lut[s][c] = sqdist of subvector s against codeword c.
-// Scanning a list is then kernels::pq_adc per code — m table gathers, no
-// float row traffic. ||q - x||^2 = ||(q - c) - (x - c)||^2, so the ADC sum
+// (q - coarse_row): lut[s][c] = sqdist of subvector s against codeword c,
+// one kernels::pq_lut call per subspace. Scanning a list is then
+// kernels::pq_adc per code — m table gathers, no float row traffic. ||q - x||^2 = ||(q - c) - (x - c)||^2, so the ADC sum
 // approximates the true squared distance; for cosine (unit rows) distance
 // is adc / 2, which matches 1 - cos up to quantization error.
 //
 // The optional exact-rerank stage re-scores the top-R candidates against
 // the float matrix (when attached) with FlatIndex's formulas — the
-// memory-for-recall knob the ISSUE's serving scenario needs. Everything
+// memory-for-recall knob of quantized serving. Everything
 // round-trips through snapshot v2 sections ("qmet"/"pqbk"/"pqcc"/"pqcd"/
 // "pqid"/"pqls"), served straight from the mapping.
 #pragma once

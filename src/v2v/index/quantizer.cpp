@@ -10,6 +10,34 @@
 #include "v2v/store/snapshot.hpp"
 
 namespace v2v::index {
+namespace {
+
+/// dst (cols x rows) = the transpose of row-major src (rows x cols).
+void transpose(const float* src, float* dst, std::size_t rows,
+               std::size_t cols) noexcept {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) dst[c * rows + r] = src[r * cols + c];
+  }
+}
+
+/// Zeroed books for `dims` split into m subspaces; m must be in [1, dims].
+PqCodebooks shaped_books(std::size_t dims, std::size_t m, std::size_t ksub) {
+  PqCodebooks pq;
+  pq.dims = dims;
+  pq.m = m;
+  pq.ksub = ksub;
+  // Unequal split: the first dims % m subspaces get one extra dimension.
+  pq.sub_offset.assign(m + 1, 0);
+  const std::size_t base = dims / m;
+  const std::size_t extra = dims % m;
+  for (std::size_t s = 0; s < m; ++s) {
+    pq.sub_offset[s + 1] = pq.sub_offset[s] + base + (s < extra ? 1 : 0);
+  }
+  pq.books.assign(256 * dims, 0.0f);
+  return pq;
+}
+
+}  // namespace
 
 Sq8Quantizer Sq8Quantizer::train(const MatrixF& rows) {
   V2V_CHECK(rows.rows() > 0, "sq8: empty training matrix");
@@ -47,22 +75,39 @@ void Sq8Quantizer::encode_row(std::span<const float> row,
   }
 }
 
+PqCodebooks PqCodebooks::from_pqbk(std::size_t dims, std::size_t m,
+                                   std::size_t ksub,
+                                   std::span<const std::uint8_t> bytes) {
+  if (bytes.size() != 256 * dims * sizeof(float)) {
+    throw store::SnapshotError(store::SnapshotErrorCode::kBadHeader,
+                               "snapshot: pqbk size does not match 256 x dims");
+  }
+  PqCodebooks pq = shaped_books(dims, m, ksub);
+  std::vector<float> raw(256 * dims);
+  std::memcpy(raw.data(), bytes.data(), bytes.size());
+  for (std::size_t s = 0; s < m; ++s) {
+    transpose(raw.data() + 256 * pq.sub_offset[s], pq.book(s), 256,
+              pq.sub_dim(s));
+  }
+  return pq;
+}
+
+std::vector<std::uint8_t> PqCodebooks::to_pqbk() const {
+  std::vector<float> raw(books.size());
+  for (std::size_t s = 0; s < m; ++s) {
+    transpose(book(s), raw.data() + 256 * sub_offset[s], sub_dim(s), 256);
+  }
+  std::vector<std::uint8_t> out(raw.size() * sizeof(float));
+  std::memcpy(out.data(), raw.data(), out.size());
+  return out;
+}
+
 PqCodebooks pq_train(const MatrixF& train, const PqTrainConfig& config) {
   V2V_CHECK(train.rows() > 0, "pq: empty training matrix");
-  PqCodebooks pq;
-  pq.dims = train.cols();
-  pq.m = std::clamp<std::size_t>(config.m, 1, pq.dims);
-  pq.ksub = std::min<std::size_t>(256, train.rows());
-
-  // Unequal split: the first dims % m subspaces get one extra dimension.
-  pq.sub_offset.assign(pq.m + 1, 0);
-  const std::size_t base = pq.dims / pq.m;
-  const std::size_t extra = pq.dims % pq.m;
-  for (std::size_t s = 0; s < pq.m; ++s) {
-    pq.sub_offset[s + 1] = pq.sub_offset[s] + base + (s < extra ? 1 : 0);
-  }
-
-  pq.books.assign(256 * pq.dims, 0.0f);
+  const std::size_t dims = train.cols();
+  PqCodebooks pq = shaped_books(
+      dims, std::clamp<std::size_t>(config.m, 1, dims),
+      std::min<std::size_t>(256, train.rows()));
   for (std::size_t s = 0; s < pq.m; ++s) {
     const std::size_t d = pq.sub_dim(s);
     MatrixF sub(train.rows(), d);
@@ -81,10 +126,12 @@ PqCodebooks pq_train(const MatrixF& train, const PqTrainConfig& config) {
     kc.threads = std::max<std::size_t>(1, config.threads);
     kc.assign = config.assign;
     const ml::KMeansResult trained = ml::kmeans(sub, kc);
+    float* book = pq.book(s);
     for (std::size_t c = 0; c < pq.ksub; ++c) {
       const auto src = trained.centroids.row(c);
-      float* dst = pq.books.data() + pq.book_offset(s) + c * d;
-      for (std::size_t j = 0; j < d; ++j) dst[j] = static_cast<float>(src[j]);
+      for (std::size_t j = 0; j < d; ++j) {
+        book[j * kernels::kPqLutStride + c] = static_cast<float>(src[j]);
+      }
     }
   }
   return pq;
@@ -113,10 +160,12 @@ void pq_encode(const PqCodebooks& pq, const MatrixF& rows, std::size_t threads,
     // carry); promote once so build-time and loaded-from-snapshot encodes
     // agree bit for bit.
     MatrixD codewords(pq.ksub, d);
+    const float* book = pq.book(s);
     for (std::size_t c = 0; c < pq.ksub; ++c) {
-      const float* src = pq.codeword(s, c);
       const auto dst = codewords.row(c);
-      for (std::size_t j = 0; j < d; ++j) dst[j] = static_cast<double>(src[j]);
+      for (std::size_t j = 0; j < d; ++j) {
+        dst[j] = static_cast<double>(book[j * kernels::kPqLutStride + c]);
+      }
     }
     const std::vector<std::uint32_t> assignment =
         ml::assign_to_centroids(sub, codewords, std::max<std::size_t>(1, threads),
@@ -129,12 +178,8 @@ void pq_encode(const PqCodebooks& pq, const MatrixF& rows, std::size_t threads,
 
 void PqCodebooks::build_lut(const float* q, float* lut) const noexcept {
   for (std::size_t s = 0; s < m; ++s) {
-    const std::size_t d = sub_dim(s);
-    const float* qs = q + sub_offset[s];
-    float* row = lut + s * kernels::kPqLutStride;
-    for (std::size_t c = 0; c < kernels::kPqLutStride; ++c) {
-      row[c] = kernels::sqdist(qs, codeword(s, c), d);
-    }
+    kernels::pq_lut(q + sub_offset[s], book(s), sub_dim(s),
+                    lut + s * kernels::kPqLutStride);
   }
 }
 

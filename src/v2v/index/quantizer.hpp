@@ -10,8 +10,9 @@
 //                 its nearest codeword among ksub <= 256 trained per
 //                 subspace — m bytes per vector. Queries scan codes with
 //                 the LUT-based asymmetric distance (ADC): a per-query
-//                 m x 256 table of subspace sqdists, accumulated by
-//                 kernels::pq_adc over the packed codes.
+//                 m x 256 table of subspace sqdists, one kernels::pq_lut
+//                 call per subspace, accumulated by kernels::pq_adc over
+//                 the packed codes.
 //
 // Both quantizers train on the existing exact k-means engine (ml::kmeans
 // + ml::assign_to_centroids) rather than reimplementing Lloyd; encoding
@@ -57,25 +58,39 @@ struct PqTrainConfig {
   ml::KMeansAssign assign = ml::KMeansAssign::kHamerly;
 };
 
-/// Trained per-subspace codebooks. Each subspace stores a full 256-row
-/// table (rows past ksub are zero), so the books buffer is always exactly
-/// 256 * dims floats and the ADC LUT stride is kernels::kPqLutStride.
+/// Trained per-subspace codebooks. Each subspace stores a full 256-entry
+/// book (codewords past ksub are zero), so the books buffer is always
+/// exactly 256 * dims floats and the ADC LUT stride is
+/// kernels::kPqLutStride. In memory a book is dimension-major — sub_dim
+/// rows of 256 floats, row j holding dimension j of every codeword — so
+/// kernels::pq_lut reads contiguous rows. The "pqbk" snapshot section is
+/// codeword-major (256 codewords of sub_dim floats per subspace);
+/// from_pqbk/to_pqbk are the only conversions between the two.
 struct PqCodebooks {
   std::size_t dims = 0;
   std::size_t m = 0;
   std::size_t ksub = 0;                  ///< trained codewords per subspace
   std::vector<std::size_t> sub_offset;   ///< m + 1 dimension boundaries
-  AlignedVector<float> books;            ///< subspace-major, 256 rows each
+  AlignedVector<float> books;            ///< per subspace, dimension-major
+
+  /// Books from a codeword-major "pqbk" payload. Throws
+  /// store::SnapshotError(kBadHeader) unless it holds 256 * dims floats.
+  [[nodiscard]] static PqCodebooks from_pqbk(std::size_t dims, std::size_t m,
+                                             std::size_t ksub,
+                                             std::span<const std::uint8_t> bytes);
+  /// The codeword-major "pqbk" payload; from_pqbk(to_pqbk()) round-trips.
+  [[nodiscard]] std::vector<std::uint8_t> to_pqbk() const;
 
   [[nodiscard]] std::size_t sub_dim(std::size_t s) const noexcept {
     return sub_offset[s + 1] - sub_offset[s];
   }
-  /// Float offset of subspace `s`'s 256-row table inside `books`.
-  [[nodiscard]] std::size_t book_offset(std::size_t s) const noexcept {
-    return 256 * sub_offset[s];
+  /// Subspace `s`'s book: sub_dim(s) rows of kernels::kPqLutStride
+  /// floats; entry j * kPqLutStride + c is dimension j of codeword c.
+  [[nodiscard]] const float* book(std::size_t s) const noexcept {
+    return books.data() + 256 * sub_offset[s];
   }
-  [[nodiscard]] const float* codeword(std::size_t s, std::size_t c) const noexcept {
-    return books.data() + book_offset(s) + c * sub_dim(s);
+  [[nodiscard]] float* book(std::size_t s) noexcept {
+    return books.data() + 256 * sub_offset[s];
   }
 
   /// Fills the per-query ADC table: lut[s * kPqLutStride + c] is the

@@ -1,6 +1,7 @@
 #include "v2v/serve/batch_queue.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "v2v/common/matrix.hpp"
@@ -65,7 +66,11 @@ std::future<SubmitResult> BatchQueue::submit(std::vector<float> query,
   pending.enqueued = std::chrono::steady_clock::now();
   auto future = pending.promise.get_future();
 
-  if (pending.query.size() != dims_) {
+  // NaN breaks the (distance, id) order the index sorts by, and an
+  // infinite component yields NaN or infinite distances.
+  if (pending.query.size() != dims_ ||
+      !std::all_of(pending.query.begin(), pending.query.end(),
+                   [](float x) { return std::isfinite(x); })) {
     if (rejected_bad_ != nullptr) rejected_bad_->add(1);
     fulfill(pending, RequestStatus::kBadRequest);
     return future;

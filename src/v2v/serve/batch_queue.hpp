@@ -44,7 +44,7 @@
 //   serve.requests              admitted requests
 //   serve.rejected_queue_full   kOverloaded rejections
 //   serve.rejected_shutdown     kShuttingDown rejections
-//   serve.rejected_bad_request  dims-mismatch rejections
+//   serve.rejected_bad_request  wrong-dims or non-finite-query rejections
 //   serve.timeouts              kTimeout responses
 //   serve.batches               engine batches dispatched
 //   serve.drained_on_shutdown   requests completed after stop was signaled
@@ -106,9 +106,9 @@ class BatchQueue {
   BatchQueue(const BatchQueue&) = delete;
   BatchQueue& operator=(const BatchQueue&) = delete;
 
-  /// Admits one query. Never blocks: rejections (wrong dims, queue full,
-  /// shutting down) fulfill the future immediately. `deadline_ms` 0 means
-  /// config.default_deadline.
+  /// Admits one query. Never blocks: rejections (wrong dims, a NaN or
+  /// infinite component, queue full, shutting down) fulfill the future
+  /// immediately. `deadline_ms` 0 means config.default_deadline.
   [[nodiscard]] std::future<SubmitResult> submit(std::vector<float> query,
                                                  std::size_t k,
                                                  std::uint32_t deadline_ms = 0)

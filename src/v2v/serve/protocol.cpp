@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -272,7 +273,11 @@ bool parse_query_json(std::string_view body, QueryRequest& out) {
   out.query.resize(array.size());
   for (std::size_t i = 0; i < array.size(); ++i) {
     if (!array[i].is_number()) return false;
-    out.query[i] = static_cast<float>(array[i].number);
+    // A double beyond float's range converts to inf at best (the cast is
+    // undefined behaviour); `!(|x| <= max)` also rejects NaN.
+    const double x = array[i].number;
+    if (!(std::fabs(x) <= std::numeric_limits<float>::max())) return false;
+    out.query[i] = static_cast<float>(x);
   }
   return true;
 }

@@ -11,7 +11,7 @@
 //       u32 deadline_ms  per-request deadline; 0 = server default
 //       u32 dims         query dimensionality (must match the index)
 //       u32 reserved     must be 0
-//       f32[dims]        the query vector
+//       f32[dims]        the query vector (finite components only)
 //
 //   Response payload:
 //
@@ -50,7 +50,7 @@ namespace v2v::serve {
 /// are wire format — append, never renumber.
 enum class RequestStatus : std::uint32_t {
   kOk = 0,            ///< neighbors returned
-  kBadRequest = 1,    ///< malformed frame / wrong dims / bad JSON
+  kBadRequest = 1,    ///< malformed frame / wrong dims / non-finite query / bad JSON
   kTimeout = 2,       ///< deadline expired before a result was ready
   kOverloaded = 3,    ///< admission queue full; honor retry_after_ms
   kShuttingDown = 4,  ///< server draining; do not retry this endpoint
@@ -130,8 +130,8 @@ struct HttpHead {
 
 /// Parses the POST /query JSON body: {"query": [floats], "k": n,
 /// "deadline_ms": n}. "k" defaults to 10, "deadline_ms" to 0 (server
-/// default). Returns false on malformed JSON or a missing/non-numeric
-/// query array.
+/// default). Returns false on malformed JSON, a missing/non-numeric
+/// query array, or a query component outside float's finite range.
 [[nodiscard]] bool parse_query_json(std::string_view body, QueryRequest& out);
 
 /// Formats a QueryResponse as the /query JSON body:

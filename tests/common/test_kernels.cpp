@@ -229,6 +229,56 @@ TEST_F(KernelParity, PqAdcBitMatchesScalar) {
   }
 }
 
+TEST_F(KernelParity, PqLutBitMatchesScalar) {
+  // Every entry must equal float(scalar::sqdist) over the codeword — the
+  // per-entry formula the ADC table had before the kernel existed — on
+  // every variant, bit for bit. Subspace widths cover below, at and past
+  // one 4-double register; the 1e-20 pass rounds sums into float
+  // denormals.
+  //
+  // Random inputs almost never expose a fused multiply-add: the double
+  // sums differ in the last bit, which the rounding to float hides. So
+  // for d >= 2 codeword 0 is a crafted case whose exact sum d0² + d1² is
+  // just above a double tie that sits on a float tie: mul-then-add rounds
+  // d1² down, lands on the tie and gives 1.0f; an FMA accumulation gives
+  // 0x1.000002p+0. Its remaining dimensions equal q's, adding zeros.
+  for (const std::size_t d : {1, 2, 3, 4, 7, 8, 9, 13}) {
+    for (const float magnitude : {1.0f, 1e-20f}) {
+      auto q = make_input(d, 89 + d);
+      auto book = make_input(d * kPqLutStride, 97 + d);  // dimension-major
+      for (float& x : q) x *= magnitude;
+      for (float& x : book) x *= magnitude;
+      if (d >= 2) {
+        q[0] = 1.0f;
+        q[1] = 0x1.0f876cp-11f;
+        book[0] = 0x1.cp-24f;
+        book[kPqLutStride] = -0x1.ca0bep-37f;
+        for (std::size_t j = 2; j < d; ++j) book[j * kPqLutStride] = q[j];
+      }
+      AlignedVector<float> ref(kPqLutStride);
+      scalar::pq_lut(q.data(), book.data(), d, ref.data());
+      if (d >= 2) {
+        EXPECT_EQ(ref[0], 1.0f) << "d=" << d;
+      }
+      std::vector<float> codeword(d);
+      for (std::size_t c = 0; c < kPqLutStride; ++c) {
+        for (std::size_t j = 0; j < d; ++j) codeword[j] = book[j * kPqLutStride + c];
+        EXPECT_EQ(ref[c],
+                  static_cast<float>(scalar::sqdist(q.data(), codeword.data(), d)))
+            << "d=" << d << " magnitude=" << magnitude << " c=" << c;
+      }
+      for (const auto& [isa, set] : variants()) {
+        AlignedVector<float> got(kPqLutStride);
+        set.pq_lut(q.data(), book.data(), d, got.data());
+        for (std::size_t c = 0; c < kPqLutStride; ++c) {
+          EXPECT_EQ(got[c], ref[c]) << isa_name(isa) << " d=" << d
+                                    << " magnitude=" << magnitude << " c=" << c;
+        }
+      }
+    }
+  }
+}
+
 TEST_F(KernelParity, Sq8KernelsBitMatchScalar) {
   for (const std::size_t n : kDims) {
     const auto q = make_input(n, 71 + n);

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <map>
+#include <type_traits>
 #include <vector>
 
 #include "v2v/common/rng.hpp"
@@ -13,11 +16,20 @@
 namespace v2v::index {
 namespace {
 
+// gtest prints a parameter it has no printer for as its raw bytes, and
+// CTest names the test after that dump. Padding would print whatever the
+// stack held, which changes from build to build, so the gap after
+// `metric` is a named zero field instead.
 struct OracleCase {
+  OracleCase(std::uint64_t s, DistanceMetric m, std::size_t kk)
+      : seed(s), metric(m), k(kk) {}
+
   std::uint64_t seed;
   DistanceMetric metric;
+  std::array<std::uint8_t, 7> zero{};
   std::size_t k;
 };
+static_assert(std::has_unique_object_representations_v<OracleCase>);
 
 class KnnOracleSweep : public ::testing::TestWithParam<OracleCase> {};
 
@@ -51,7 +63,10 @@ std::uint32_t naive_predict(const MatrixF& points,
 }
 
 TEST_P(KnnOracleSweep, MatchesNaiveReference) {
-  const auto [seed, metric, k] = GetParam();
+  const OracleCase& param = GetParam();
+  const std::uint64_t seed = param.seed;
+  const DistanceMetric metric = param.metric;
+  const std::size_t k = param.k;
   Rng rng(seed);
   constexpr std::size_t kTrain = 60;
   constexpr std::size_t kDims = 5;

@@ -1,7 +1,8 @@
 // Quantized index family: recall floors against the FlatIndex oracle on
 // planted clusters (SQ8, IVF-PQ, IVF-PQ + exact rerank), byte-identical
-// builds across thread counts, snapshot round-trips with bit-equal codes
-// and search results, and the runtime nprobe/rerank knobs.
+// builds across thread counts, snapshot round-trips with bit-equal codes,
+// sections and search results, snapshot validation, and the runtime
+// nprobe/rerank knobs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include <filesystem>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -26,6 +28,10 @@ namespace v2v::index {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// Every snapshot section IvfPqIndex::save_sections writes.
+constexpr const char* kIvfPqSections[] = {"qmet", "pqbk", "pqcc",
+                                          "pqcd", "pqid", "pqls"};
 
 /// Gaussian blobs on distinct coordinate axes. `sigma` 0.3 matches the
 /// IvfIndex fixture; the SQ8 cases use 1.0 so neighbor-distance gaps sit
@@ -152,13 +158,61 @@ TEST(QuantIndex, RerankedDistancesMatchOracleBitForBit) {
     const FlatIndex oracle(store::EmbeddingView::of(points), metric);
     SqIndex sq(store::EmbeddingView::of(points), metric, {.threads = 1});
     sq.set_rerank(points.rows());  // rerank the full candidate set
-    for (std::size_t q = 0; q < queries.rows(); ++q) {
-      const auto truth = oracle.search(queries.row(q), 5);
-      const auto got = sq.search(queries.row(q), 5);
-      ASSERT_EQ(truth.size(), got.size());
-      for (std::size_t i = 0; i < truth.size(); ++i) {
-        EXPECT_EQ(truth[i].id, got[i].id) << "q=" << q << " i=" << i;
-        EXPECT_EQ(truth[i].distance, got[i].distance) << "q=" << q;
+    IvfPqConfig config;
+    config.nlist = 8;
+    config.m = 4;
+    config.seed = 25;
+    IvfPqIndex ivfpq(store::EmbeddingView::of(points), metric, config);
+    ivfpq.set_nprobe(ivfpq.nlist());  // every list: every row is a candidate
+    ivfpq.set_rerank(points.rows());
+    for (const VectorIndex* index : {static_cast<const VectorIndex*>(&sq),
+                                     static_cast<const VectorIndex*>(&ivfpq)}) {
+      for (std::size_t q = 0; q < queries.rows(); ++q) {
+        const auto truth = oracle.search(queries.row(q), 5);
+        const auto got = index->search(queries.row(q), 5);
+        ASSERT_EQ(truth.size(), got.size());
+        for (std::size_t i = 0; i < truth.size(); ++i) {
+          EXPECT_EQ(truth[i].id, got[i].id) << "q=" << q << " i=" << i;
+          EXPECT_EQ(truth[i].distance, got[i].distance) << "q=" << q;
+        }
+      }
+    }
+  }
+}
+
+TEST(QuantIndex, IvfPqRerankRescoresTheTopRAdcCandidates) {
+  // Rerank depth R keeps the R best ADC candidates and re-scores them
+  // exactly: the answer must equal exact_rerank over the rerank-0 top-R
+  // list, ids and distance bits included. k > R widens the kept set to k.
+  const MatrixF points = planted_clusters(1200, 16, 8, 27);
+  const MatrixF queries = sample_queries(points, 12, 28);
+  const auto view = store::EmbeddingView::of(points);
+  for (const auto metric :
+       {DistanceMetric::kCosine, DistanceMetric::kEuclidean}) {
+    IvfPqConfig config;
+    config.nlist = 12;
+    config.nprobe = 4;
+    config.m = 4;
+    config.seed = 29;
+    IvfPqIndex ivfpq(view, metric, config);
+    for (const std::size_t depth : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{40}, std::size_t{5000}}) {
+      for (std::size_t q = 0; q < queries.rows(); ++q) {
+        const std::size_t k = 10;
+        ivfpq.set_rerank(0);
+        auto expected = ivfpq.search(queries.row(q), std::max(k, depth));
+        exact_rerank(view, metric, queries.row(q), expected, k);
+        ivfpq.set_rerank(depth);
+        const auto got = ivfpq.search(queries.row(q), k);
+        ASSERT_EQ(got.size(), expected.size()) << "depth=" << depth;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].id, expected[i].id)
+              << "depth=" << depth << " q=" << q << " i=" << i;
+          EXPECT_EQ(std::memcmp(&got[i].distance, &expected[i].distance,
+                                sizeof(double)),
+                    0)
+              << "depth=" << depth << " q=" << q << " i=" << i;
+        }
       }
     }
   }
@@ -280,12 +334,65 @@ TEST_F(QuantIndexTest, IvfPqSnapshotRoundTripIsBitExact) {
     }
   }
 
+  // Re-saving the loaded index writes the same sections, byte for byte:
+  // the codeword-major "pqbk" survives the in-memory dimension-major
+  // layout in both directions.
+  store::SnapshotBuilder again(points.rows(), points.cols());
+  loaded->save_sections(again);
+  const auto p2 = path("ivfpq_resaved.v2vsnap");
+  again.write(p2);
+  const auto resaved = store::MappedSnapshot::open(p2);
+  for (const char* name : kIvfPqSections) {
+    const auto x = snap.section(name);
+    const auto y = resaved.section(name);
+    ASSERT_EQ(x.size(), y.size()) << name;
+    EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size()), 0) << name;
+  }
+
   // The snapshot's float matrix feeds rerank on the loaded side too.
   loaded->set_rerank(50);
   const FlatIndex oracle(store::EmbeddingView::of(points),
                          DistanceMetric::kEuclidean);
   loaded->set_nprobe(10);
   EXPECT_GE(recall_against(oracle, *loaded, queries, 10), 0.9);
+}
+
+TEST_F(QuantIndexTest, IvfPqSnapshotWithOutOfRangeIdIsRejected) {
+  // Checksums only prove the bytes are the ones written. A posting id >=
+  // rows would go back to clients and index the float matrix in rerank,
+  // so loading must refuse it.
+  const MatrixF points = planted_clusters(300, 8, 4, 31);
+  IvfPqConfig config;
+  config.nlist = 4;
+  config.m = 4;
+  const IvfPqIndex built(store::EmbeddingView::of(points),
+                         DistanceMetric::kEuclidean, config);
+  store::SnapshotBuilder good(points.rows(), points.cols());
+  built.save_sections(good);
+  const auto good_path = path("good.v2vsnap");
+  good.write(good_path);
+  const auto snap = store::MappedSnapshot::open(good_path);
+  ASSERT_NO_THROW((void)IvfPqIndex::from_snapshot(snap));
+
+  store::SnapshotBuilder bad(points.rows(), points.cols());
+  for (const char* name : kIvfPqSections) {
+    const auto bytes = snap.section(name);
+    std::vector<std::uint8_t> payload(bytes.begin(), bytes.end());
+    if (std::string(name) == "pqid") {
+      const auto id = static_cast<std::uint32_t>(points.rows());
+      std::memcpy(payload.data() + 17 * sizeof(std::uint32_t), &id, sizeof(id));
+    }
+    bad.add_section(name, std::move(payload));
+  }
+  const auto bad_path = path("bad.v2vsnap");
+  bad.write(bad_path);
+  const auto tampered = store::MappedSnapshot::open(bad_path);
+  try {
+    (void)IvfPqIndex::from_snapshot(tampered);
+    ADD_FAILURE() << "an id equal to rows was accepted";
+  } catch (const store::SnapshotError& error) {
+    EXPECT_EQ(error.code(), store::SnapshotErrorCode::kBadHeader);
+  }
 }
 
 TEST(QuantIndex, BytesPerVectorBeatFloatBudget) {

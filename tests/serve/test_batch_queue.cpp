@@ -12,6 +12,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -164,6 +165,30 @@ TEST(ServeBatchQueue, WrongDimensionsRejectedBadRequest) {
   EXPECT_EQ(result.status, RequestStatus::kBadRequest);
   EXPECT_TRUE(result.neighbors.empty());
   EXPECT_EQ(metrics.snapshot().counters.at("serve.rejected_bad_request"), 1u);
+}
+
+TEST(ServeBatchQueue, NonFiniteComponentsRejectedBadRequest) {
+  const MatrixF points = random_points(10, 3, 6);
+  const index::FlatIndex flat(store::EmbeddingView::of(points));
+  const index::QueryEngine engine(flat, {.threads = 1, .metrics = nullptr});
+  obs::MetricsRegistry metrics;
+  BatchQueueConfig config;
+  config.metrics = &metrics;
+  BatchQueue queue(engine, config);
+
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (const float bad :
+       {std::numeric_limits<float>::quiet_NaN(), kInf, -kInf}) {
+    const auto result = queue.query({0.5f, bad, 1.0f}, 3);
+    EXPECT_EQ(result.status, RequestStatus::kBadRequest) << bad;
+    EXPECT_TRUE(result.neighbors.empty());
+  }
+  // The largest finite float is still a valid component.
+  EXPECT_EQ(queue.query({std::numeric_limits<float>::max(), 0.0f, 1.0f}, 3).status,
+            RequestStatus::kOk);
+  const auto counters = metrics.snapshot().counters;
+  EXPECT_EQ(counters.at("serve.rejected_bad_request"), 3u);
+  EXPECT_EQ(counters.at("serve.requests"), 1u);
 }
 
 TEST(ServeBatchQueue, DeadlineExpiredInQueueSkipsEngine) {

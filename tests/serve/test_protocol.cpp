@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -211,6 +212,23 @@ TEST(ServeProtocol, QueryJsonRejectsOutOfRangeNumbers) {
   EXPECT_EQ(request.k, 4294967295u);
   ASSERT_TRUE(parse_query_json(R"({"query": [1], "k": 0})", request));
   EXPECT_EQ(request.k, 0u);
+}
+
+// A query component beyond float's range was cast unchecked: undefined
+// behaviour, in practice inf, and then "-nan" in the JSON answer.
+TEST(ServeProtocol, QueryJsonRejectsComponentsOutsideFloatRange) {
+  QueryRequest request;
+  EXPECT_FALSE(parse_query_json(R"({"query": [1e300]})", request));
+  EXPECT_FALSE(parse_query_json(R"({"query": [0.5, -1e39]})", request));
+  EXPECT_FALSE(parse_query_json(R"({"query": [3.5e38]})", request));
+  // The float extremes and values that underflow to zero still parse.
+  ASSERT_TRUE(parse_query_json(
+      R"({"query": [3.4028234663852886e38, -3.4028234663852886e38, 1e-300]})",
+      request));
+  ASSERT_EQ(request.query.size(), 3u);
+  EXPECT_EQ(request.query[0], std::numeric_limits<float>::max());
+  EXPECT_EQ(request.query[1], -std::numeric_limits<float>::max());
+  EXPECT_EQ(request.query[2], 0.0f);
 }
 
 TEST(ServeProtocol, QueryResponseJsonIsLossless) {

@@ -1,6 +1,7 @@
 // End-to-end server behavior over real loopback sockets: binary
-// round-trip parity with the direct engine, framing error handling
-// (bad magic, oversized, malformed-but-framed), the HTTP shim's
+// round-trip parity with the direct engine, request error handling
+// (non-finite query, bad magic, oversized, malformed-but-framed), the
+// HTTP shim's
 // endpoints, connection-limit backpressure, and the graceful-shutdown
 // zero-drop guarantee.
 #include "v2v/serve/server.hpp"
@@ -9,6 +10,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -104,6 +106,20 @@ TEST(ServeServer, WrongDimensionsAnswerBadRequestAndKeepConnection) {
   EXPECT_EQ(client.query(short_query, 3).status, RequestStatus::kBadRequest);
   // Same connection still serves valid queries.
   EXPECT_EQ(client.query(f.points.row(0), 3).status, RequestStatus::kOk);
+}
+
+TEST(ServeServer, NonFiniteQueryAnswersBadRequestAndKeepsConnection) {
+  // Binary frames carry raw float bits, so NaN reaches the server intact.
+  Fixture f;  // index dims = 8
+  auto client = Client::connect(f.server->host(), f.server->port());
+  std::vector<float> query(f.points.row(0).begin(), f.points.row(0).end());
+  query[2] = std::numeric_limits<float>::quiet_NaN();
+  const auto response = client.query(query, 3);
+  EXPECT_EQ(response.status, RequestStatus::kBadRequest);
+  EXPECT_TRUE(response.neighbors.empty());
+  // Same connection still serves valid queries.
+  EXPECT_EQ(client.query(f.points.row(0), 3).status, RequestStatus::kOk);
+  EXPECT_EQ(f.metrics.snapshot().counters.at("serve.rejected_bad_request"), 1u);
 }
 
 TEST(ServeServer, BadMagicAnswersBadRequestAndCloses) {
