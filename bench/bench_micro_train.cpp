@@ -1,13 +1,17 @@
 // Ablation micro-benchmarks for the embedding trainer (DESIGN.md §5):
-// CBOW vs SkipGram, negative sampling vs hierarchical softmax, and
-// dimension scaling. Reported as tokens/second of SGD throughput.
+// CBOW vs SkipGram, negative sampling vs hierarchical softmax, dimension
+// scaling, and thread scaling at the shape of the end-to-end
+// embed_planted workload. Reported as tokens/second of SGD throughput.
 //
 // Besides the interactive google-benchmark suite, main() records a
 // calibrated headline run (dims=128, negative sampling, 8 threads) into
 // $V2V_BENCH_OUT/BENCH_micro_train.json (schema v2v.metrics.v1) so
 // successive runs — and ISA variants via V2V_FORCE_SCALAR — can be diffed
-// with the obs tooling. Pass --benchmark_filter with no match to skip the
-// suite and only refresh the baseline.
+// with the obs tooling. The same file carries train.speedup_4t_vs_1t
+// (4-thread over 1-thread words/sec on the embed_planted shape, best of 5
+// interleaved runs each) and train.hw_threads, which CI gates on. Pass
+// --benchmark_filter with no match to skip the suite and only refresh
+// the baseline.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,6 +19,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <thread>
 
 #include "v2v/common/kernels.hpp"
 #include "v2v/embed/trainer.hpp"
@@ -125,6 +130,65 @@ void BM_TrainStreaming(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainStreaming)->Arg(10)->Arg(100);
 
+/// The corpus of one embed_planted operation: 10 planted groups of 100
+/// vertices (200 inter-group edges), 10 walks of length 40 per vertex.
+const walk::Corpus& planted_thousand_corpus(std::size_t* vocab) {
+  static std::size_t vocab_size = 0;
+  static const walk::Corpus corpus = [] {
+    graph::PlantedPartitionParams params;
+    params.alpha = 0.5;
+    Rng rng(1);
+    const auto planted = graph::make_planted_partition(params, rng);
+    vocab_size = planted.graph.vertex_count();
+    walk::WalkConfig config;
+    config.walks_per_vertex = 10;
+    config.walk_length = 40;
+    return walk::generate_corpus(planted.graph, config, 2);
+  }();
+  *vocab = vocab_size;
+  return corpus;
+}
+
+embed::TrainConfig planted_thousand_config(std::size_t threads) {
+  auto config = base_config(32);
+  config.threads = threads;
+  return config;
+}
+
+// Hogwild thread scaling on a small (1,000-vertex) vocabulary, where
+// workers contend for the same output rows.
+void BM_TrainCbowThreads(benchmark::State& state) {
+  std::size_t vocab = 0;
+  const auto& corpus = planted_thousand_corpus(&vocab);
+  const auto config = planted_thousand_config(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    const auto result = embed::train_embedding(corpus, vocab, config);
+    benchmark::DoNotOptimize(result.embedding.matrix().data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(corpus.token_count()));
+}
+BENCHMARK(BM_TrainCbowThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+/// 4-thread over 1-thread words/sec on the embed_planted shape, each the
+/// best of 5 runs, the two thread counts interleaved so that a slow spell
+/// of a shared host hits both.
+double thread_speedup_4_vs_1() {
+  std::size_t vocab = 0;
+  const auto& corpus = planted_thousand_corpus(&vocab);
+  const auto words_per_sec = [&](std::size_t threads) {
+    const auto result =
+        embed::train_embedding(corpus, vocab, planted_thousand_config(threads));
+    return static_cast<double>(corpus.token_count()) / result.stats.train_seconds;
+  };
+  double best_1t = 0.0, best_4t = 0.0;
+  for (int rep = 0; rep < 5; ++rep) {
+    best_1t = std::max(best_1t, words_per_sec(1));
+    best_4t = std::max(best_4t, words_per_sec(4));
+  }
+  return best_4t / best_1t;
+}
+
 /// Directory for JSON baselines: $V2V_BENCH_OUT, default "bench_out".
 std::filesystem::path bench_out_dir() {
   const char* env = std::getenv("V2V_BENCH_OUT");
@@ -157,13 +221,19 @@ void write_throughput_baseline() {
   baseline.gauge("train.dims").set(static_cast<double>(config.dimensions));
   baseline.gauge("train.epochs").set(static_cast<double>(config.epochs));
   baseline.counter(std::string("isa.") + kernels::active_isa_name()).add(1);
+  const double speedup = thread_speedup_4_vs_1();
+  const unsigned hw_threads = std::thread::hardware_concurrency();
+  baseline.gauge("train.speedup_4t_vs_1t").set(speedup);
+  baseline.gauge("train.hw_threads").set(static_cast<double>(hw_threads));
 
   const auto dir = bench_out_dir();
   std::filesystem::create_directories(dir);
   const auto path = (dir / "BENCH_micro_train.json").string();
   obs::write_json_file(baseline, path);
-  std::printf("baseline: %.0f words/sec (isa=%s) -> %s\n", best_words_per_sec,
-              kernels::active_isa_name(), path.c_str());
+  std::printf("baseline: %.0f words/sec (isa=%s), 4t/1t speedup %.2f on %u hw threads"
+              " -> %s\n",
+              best_words_per_sec, kernels::active_isa_name(), speedup, hw_threads,
+              path.c_str());
 }
 
 }  // namespace

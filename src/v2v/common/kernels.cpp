@@ -19,6 +19,7 @@
 
 #if defined(__x86_64__) || defined(__i386__)
 #define V2V_KERNELS_X86 1
+#include <cpuid.h>
 #include <immintrin.h>
 #else
 #define V2V_KERNELS_X86 0
@@ -919,6 +920,19 @@ Isa detect_isa(bool force_scalar) noexcept {
   return Isa::kNeon;
 #else
   return Isa::kScalar;
+#endif
+}
+
+bool has_prefetchw() noexcept {
+#if defined(__x86_64__)
+  static const bool supported = [] {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    return __get_cpuid(0x80000001u, &eax, &ebx, &ecx, &edx) != 0 &&
+           (ecx & (1u << 8)) != 0;
+  }();
+  return supported;
+#else
+  return false;
 #endif
 }
 

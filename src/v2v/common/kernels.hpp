@@ -44,6 +44,7 @@
 #include <utility>
 #include <vector>
 
+#include "v2v/common/aligned.hpp"
 #include "v2v/common/relaxed.hpp"
 
 namespace v2v::kernels {
@@ -327,6 +328,36 @@ void pq_lut(const float* q, const float* book, std::size_t d,
                             std::size_t n) noexcept;
 
 #endif  // V2V_TSAN_ENABLED
+
+/// True when the CPU implements the write-intent prefetch `prefetchw`
+/// (x86-64 CPUID leaf 0x80000001, ECX bit 8: PRFCHW). Probed once per
+/// process; false on other architectures.
+[[nodiscard]] bool has_prefetchw() noexcept;
+
+/// Write-intent prefetch of every cache line overlapping [p, p + bytes),
+/// for memory about to be read and then written (a Hogwild output row).
+/// With `prefetchw` set (pass has_prefetchw()) each line is fetched by
+/// `prefetchw`, which asks for it in exclusive state so the later store
+/// needs no ownership upgrade; otherwise by __builtin_prefetch(line, 1, 3).
+/// A hint only: no architectural access, so it cannot fault or change a
+/// result, and ThreadSanitizer never sees it.
+inline void prefetch_for_write(const void* p, std::size_t bytes,
+                               bool prefetchw) noexcept {
+  constexpr std::uintptr_t kLine = kCacheLineBytes;
+  const auto first = reinterpret_cast<std::uintptr_t>(p);
+  for (std::uintptr_t line = first & ~(kLine - 1); line < first + bytes; line += kLine) {
+    const auto* addr = reinterpret_cast<const char*>(line);
+#if defined(__x86_64__)
+    if (prefetchw) {
+      __asm__ volatile("prefetchw %0" : : "m"(*addr));
+      continue;
+    }
+#else
+    (void)prefetchw;
+#endif
+    __builtin_prefetch(addr, 1, 3);
+  }
+}
 
 /// The ISA the free functions above resolved to (kScalar under TSan or
 /// V2V_FORCE_SCALAR=1). Stable after the first call.

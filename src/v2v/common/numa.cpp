@@ -147,6 +147,12 @@ std::size_t node_of_chunk(std::size_t chunk, std::size_t chunks,
   return chunk * nodes / chunks;  // inverse of range_begin(n) = ceil(n*chunks/nodes)
 }
 
+std::size_t node_of_worker(std::size_t worker, std::size_t workers,
+                           std::size_t nodes) noexcept {
+  if (workers == 0 || nodes <= 1) return 0;
+  return worker * nodes / workers;
+}
+
 void bind_current_thread(const Topology& topo, std::size_t node) noexcept {
 #if defined(__linux__)
   if (node >= topo.node_cpus.size()) return;
@@ -170,8 +176,8 @@ void bind_current_thread(const Topology& topo, std::size_t node) noexcept {
 
 NumaSchedule schedule(const Topology& topo) {
   NumaSchedule s;
-  s.nodes = topo.node_count();
-  if (s.nodes > 1 && !topo.synthetic) {
+  s.ranges = topo.node_count();
+  if (s.ranges > 1 && !topo.synthetic) {
     // Copy the topology: the schedule may outlive the caller's reference.
     s.bind_worker = [topo](std::size_t /*worker*/, std::size_t home) {
       bind_current_thread(topo, home);
@@ -181,6 +187,23 @@ NumaSchedule schedule(const Topology& topo) {
 }
 
 NumaSchedule schedule() { return schedule(system_topology()); }
+
+NumaSchedule worker_schedule(const Topology& topo, std::size_t workers) {
+  NumaSchedule s;
+  s.ranges = std::max<std::size_t>(1, workers);
+  const std::size_t nodes = topo.node_count();
+  if (nodes > 1 && !topo.synthetic) {
+    s.bind_worker = [topo, ranges = s.ranges, nodes](std::size_t worker,
+                                                     std::size_t /*home*/) {
+      bind_current_thread(topo, node_of_worker(worker, ranges, nodes));
+    };
+  }
+  return s;
+}
+
+NumaSchedule worker_schedule(std::size_t workers) {
+  return worker_schedule(system_topology(), workers);
+}
 
 void first_touch_stripes(void* base, std::size_t bytes, const Topology& topo) {
 #if defined(__linux__)

@@ -2,17 +2,19 @@
 //
 // On multi-socket hosts the Hogwild trainer and the k-means assignment
 // engine are memory-bandwidth bound; letting workers float across sockets
-// makes most accesses remote. This layer provides the three placement
-// tools the pipelines use:
+// makes most accesses remote. This layer provides the placement tools the
+// pipelines use:
 //
 //   - Topology: which cpus belong to which NUMA node. Detected through
 //     libnuma when it was found at configure time (V2V_HAVE_LIBNUMA),
 //     through /sys/devices/system/node otherwise, with a single-node
 //     fallback everywhere else (non-Linux, sysfs unavailable).
-//   - schedule(): a thread_pool NumaSchedule — the node-preferring chunk
-//     queue for parallel_for_dynamic plus best-effort worker pinning.
-//     Purely a locality hint: chunk geometry is unchanged, so results are
-//     bit-identical to the default single-queue handout.
+//   - schedule(): a thread_pool NumaSchedule with one home range per node
+//     plus best-effort worker pinning (k-means).
+//   - worker_schedule(): one home range per worker, worker w pinned to
+//     node node_of_worker(w, W, N) = floor(w*N/W) (the Hogwild trainer).
+//     Both are purely locality hints: chunk geometry is unchanged, so
+//     results are bit-identical to the default single-queue handout.
 //   - first_touch_stripes(): re-places a freshly zero-initialized buffer
 //     so node n's stripe is first-touched (hence allocated) on node n.
 //
@@ -64,6 +66,12 @@ struct Topology {
 /// sched_setaffinity; failures are ignored (pinning is advisory).
 void bind_current_thread(const Topology& topo, std::size_t node) noexcept;
 
+/// Node that worker `worker` of `workers` is pinned to under
+/// worker_schedule(): floor(worker * nodes / workers), which splits the
+/// workers into `nodes` contiguous groups whose sizes differ by at most one.
+[[nodiscard]] std::size_t node_of_worker(std::size_t worker, std::size_t workers,
+                                         std::size_t nodes) noexcept;
+
 /// Builds the parallel_for_dynamic schedule for `topo`: per-node chunk
 /// queues plus a bind_worker hook pinning each worker to its home node.
 /// For a single-node topology the schedule degrades to the default queue.
@@ -71,6 +79,16 @@ void bind_current_thread(const Topology& topo, std::size_t node) noexcept;
 
 /// schedule(system_topology()).
 [[nodiscard]] NumaSchedule schedule();
+
+/// Builds the per-worker schedule for `workers` threads: one contiguous
+/// home range of chunks per worker (as word2vec splits its training file
+/// per thread), so concurrent workers start far apart in the chunk order.
+/// On a multi-node (non-synthetic) topology the bind_worker hook pins
+/// worker w to node node_of_worker(w, workers, node count).
+[[nodiscard]] NumaSchedule worker_schedule(const Topology& topo, std::size_t workers);
+
+/// worker_schedule(system_topology(), workers).
+[[nodiscard]] NumaSchedule worker_schedule(std::size_t workers);
 
 /// Re-places a freshly *zero-initialized* buffer across nodes: the page-
 /// aligned interior is discarded (MADV_DONTNEED — contents must be all

@@ -155,38 +155,38 @@ void parallel_for_dynamic(
   if (grain == 0) grain = default_grain(count, threads);
   const std::size_t chunks = chunk_count(count, grain);
   const std::size_t workers = std::min(threads, chunks);
-  const std::size_t nodes =
-      std::min(std::max<std::size_t>(1, schedule.nodes), chunks);
-  if (nodes <= 1 || workers <= 1) {
+  const std::size_t ranges =
+      std::min(std::max<std::size_t>(1, schedule.ranges), chunks);
+  if (ranges <= 1 || workers <= 1) {
     // Degenerate schedule: the single-queue handout already yields the
     // same chunk geometry (and, for one worker, in-order execution).
     parallel_for_dynamic(threads, count, grain, fn);
     return;
   }
 
-  // Node n owns chunk indices [range_begin(n), range_begin(n + 1)):
-  // the smallest c with c*nodes/chunks == n is ceil(n*chunks/nodes).
-  const auto range_begin = [chunks, nodes](std::size_t n) {
-    return (n * chunks + nodes - 1) / nodes;
+  // Range r owns chunk indices [range_begin(r), range_begin(r + 1)):
+  // the smallest c with c*ranges/chunks == r is ceil(r*chunks/ranges).
+  const auto range_begin = [chunks, ranges](std::size_t r) {
+    return (r * chunks + ranges - 1) / ranges;
   };
   struct alignas(kCacheLineBytes) PaddedCounter {
     std::atomic<std::size_t> next{0};
   };
-  const auto counters = std::make_unique<PaddedCounter[]>(nodes);
+  const auto counters = std::make_unique<PaddedCounter[]>(ranges);
 
   std::vector<std::thread> pool;
   pool.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     pool.emplace_back([&, w] {
-      const std::size_t home = w * nodes / workers;
+      const std::size_t home = w * ranges / workers;
       if (schedule.bind_worker) schedule.bind_worker(w, home);
-      for (std::size_t offset = 0; offset < nodes; ++offset) {
-        const std::size_t n = (home + offset) % nodes;
-        const std::size_t lo = range_begin(n);
-        const std::size_t len = range_begin(n + 1) - lo;
+      for (std::size_t offset = 0; offset < ranges; ++offset) {
+        const std::size_t r = (home + offset) % ranges;
+        const std::size_t lo = range_begin(r);
+        const std::size_t len = range_begin(r + 1) - lo;
         for (;;) {
           const std::size_t i =
-              counters[n].next.fetch_add(1, std::memory_order_relaxed);
+              counters[r].next.fetch_add(1, std::memory_order_relaxed);
           if (i >= len) break;
           const std::size_t c = lo + i;
           fn(w, c, c * grain, std::min(count, (c + 1) * grain));

@@ -81,24 +81,25 @@ void parallel_for_dynamic(
     std::size_t threads, std::size_t count, std::size_t grain,
     const std::function<void(std::size_t, std::size_t, std::size_t, std::size_t)>& fn);
 
-/// Node-preferring handout policy for the overload below. Chunk indices
-/// are split into `nodes` contiguous ranges (node n owns
-/// [ceil(n*chunks/nodes), ceil((n+1)*chunks/nodes))); each worker drains
-/// its home range's counter first and steals from the other ranges only
-/// once its own is empty. Purely a locality policy: every chunk still
-/// runs exactly once with the same (chunk, begin, end) as the default
-/// single-queue handout, so callers with per-chunk result storage get
-/// bit-identical output. Build one via numa::schedule().
+/// Home-range handout policy for the overload below. Chunk indices are
+/// split into `ranges` contiguous home ranges (range r owns
+/// [ceil(r*chunks/ranges), ceil((r+1)*chunks/ranges))); worker w's home is
+/// range w*ranges/workers, which it drains first, stealing from the other
+/// ranges only once its own is empty. k-means uses one range per NUMA node
+/// (numa::schedule()), the trainer one per worker (numa::worker_schedule()).
+/// Purely a locality policy: every chunk still runs exactly once with the
+/// same (chunk, begin, end) as the default single-queue handout, so callers
+/// with per-chunk result storage get bit-identical output.
 struct NumaSchedule {
-  /// Queue count; <= 1 falls back to the single-queue handout.
-  std::size_t nodes = 1;
+  /// Home-range count; <= 1 falls back to the single-queue handout.
+  std::size_t ranges = 1;
   /// Called once on each worker thread, before it claims any chunk, with
-  /// (worker index, home node); used to pin the thread near its range's
+  /// (worker index, home range); used to pin the thread near its range's
   /// memory. May be empty.
   std::function<void(std::size_t, std::size_t)> bind_worker;
 };
 
-/// parallel_for_dynamic with per-node chunk queues (see NumaSchedule).
+/// parallel_for_dynamic with per-range chunk queues (see NumaSchedule).
 /// Identical chunk geometry and per-chunk arguments as the single-queue
 /// overload; only the order in which workers claim chunks changes.
 void parallel_for_dynamic(

@@ -4,9 +4,9 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
-
 #include <string>
 
 #include "v2v/common/aligned.hpp"
@@ -22,8 +22,6 @@
 
 namespace v2v::embed {
 namespace {
-
-constexpr double kLossEps = 1e-7;  // clamp for -log terms
 
 /// All shared state of one training run; worker threads hold a reference.
 struct TrainerState {
@@ -54,45 +52,19 @@ struct EpochShard {
 
 /// One positive/negative pair update against output row `row`:
 /// grad = (label - sigma(f)) * lr; accumulates into `input_grad` and
-/// updates the output row in place. Returns the pair's loss contribution.
+/// updates the output row in place. Returns the pair's loss contribution,
+/// read from the same sigmoid-table slot as sigma.
 /// Precondition: `input` never aliases `row` (CBOW passes the private neu1
 /// buffer; SkipGram passes a syn0 row while `row` is a syn1 row), so the
 /// two axpy passes equal the classic interleaved element loop.
-double pair_update(const float* input, float* row, float* input_grad, std::size_t d,
-                   float label, float lr) {
+double pair_update(const SigmoidTable& sigmoid, const float* input, float* row,
+                   float* input_grad, std::size_t d, std::uint32_t label, float lr) {
   const float f = kernels::dot(input, row, d);
-  const float sig = sigmoid_table()(f);
-  const float g = (label - sig) * lr;
+  const SigmoidTable::Entry& slot = sigmoid.entry(f);
+  const float g = (static_cast<float>(label) - slot.sigma) * lr;
   kernels::axpy(g, row, input_grad, d);
   kernels::axpy(g, input, row, d);
-  const double p = label > 0.5f ? sig : 1.0f - sig;
-  return -std::log(std::max(static_cast<double>(p), kLossEps));
-}
-
-/// Trains the hidden->output layer for one target given the assembled
-/// input vector; fills input_grad with the back-propagated gradient.
-double train_target(TrainerState& state, const float* input, float* input_grad,
-                    std::uint32_t target, float lr, Rng& rng) {
-  const std::size_t d = state.config.dimensions;
-  kernels::fill(input_grad, 0.0f, d);
-  double loss = 0.0;
-  if (state.config.objective == Objective::kNegativeSampling) {
-    loss += pair_update(input, state.syn1.row(target).data(), input_grad, d, 1.0f, lr);
-    for (std::size_t k = 0; k < state.config.negative; ++k) {
-      auto sample = static_cast<std::uint32_t>(state.noise.sample(rng));
-      if (sample == target) continue;  // word2vec skips collisions
-      loss += pair_update(input, state.syn1.row(sample).data(), input_grad, d, 0.0f, lr);
-    }
-  } else {
-    const HuffmanCode& code = state.huffman->code(target);
-    for (std::size_t b = 0; b < code.code.size(); ++b) {
-      // Huffman branch 0 is the "positive" direction, as in word2vec.
-      const float label = code.code[b] == 0 ? 1.0f : 0.0f;
-      loss += pair_update(input, state.syn1.row(code.points[b]).data(), input_grad, d,
-                          label, lr);
-    }
-  }
-  return loss;
+  return slot.loss[label];
 }
 
 float current_lr(const TrainerState& state) {
@@ -106,14 +78,27 @@ float current_lr(const TrainerState& state) {
 
 /// Per-worker trainer: owns scratch buffers and the SGD inner loop for one
 /// sentence (walk). Shared by the corpus-backed and streaming drivers.
+///
+/// Every target's hidden->output update runs in three steps. Plan draws
+/// the output rows it will touch (NS: the target, then the noise samples
+/// minus collisions; HS: the Huffman path) into plan_, in the order the
+/// update consumes them. Prefetch requests each planned syn1 row's cache
+/// lines for writing. Update assembles the input vector and runs the pair
+/// updates from plan_. The rows other workers keep writing are thus in
+/// flight while neu1 is assembled, instead of each pair's dot stalling on
+/// a line another core just dirtied. Nothing draws from the RNG between
+/// plan and update, so the stream — and every 1-thread result — is the
+/// same as drawing each sample just before its pair update.
 class SentenceTrainer {
  public:
   SentenceTrainer(TrainerState& state, Rng rng)
       : state_(state),
+        sigmoid_(sigmoid_table()),
         rng_(rng),
         neu1_(state.config.dimensions),
         grad_(state.config.dimensions),
-        lr_(current_lr(state)) {}
+        lr_(current_lr(state)),
+        prefetchw_(kernels::has_prefetchw()) {}
 
   void train_sentence(std::span<const std::uint32_t> raw_walk) {
     const std::size_t d = state_.config.dimensions;
@@ -137,16 +122,16 @@ class SentenceTrainer {
       const std::size_t hi = std::min(sentence_.size(), pos + (window - reduced) + 1);
 
       if (cbow) {
+        const std::size_t context_count = hi - lo - 1;  // [lo, hi) minus pos
+        if (context_count == 0) continue;
+        plan_and_prefetch(target);
         kernels::fill(neu1_.data(), 0.0f, d);
-        std::size_t context_count = 0;
         for (std::size_t c = lo; c < hi; ++c) {
           if (c == pos) continue;
           kernels::add(state_.syn0.row(sentence_[c]).data(), neu1_.data(), d);
-          ++context_count;
         }
-        if (context_count == 0) continue;
         kernels::scale(neu1_.data(), 1.0f / static_cast<float>(context_count), d);
-        shard_.loss += train_target(state_, neu1_.data(), grad_.data(), target, lr_, rng_);
+        shard_.loss += update_planned(neu1_.data());
         ++shard_.examples;
         for (std::size_t c = lo; c < hi; ++c) {
           if (c == pos) continue;
@@ -155,8 +140,9 @@ class SentenceTrainer {
       } else {
         for (std::size_t c = lo; c < hi; ++c) {
           if (c == pos) continue;
+          plan_and_prefetch(target);
           auto row = state_.syn0.row(sentence_[c]);
-          shard_.loss += train_target(state_, row.data(), grad_.data(), target, lr_, rng_);
+          shard_.loss += update_planned(row.data());
           ++shard_.examples;
           kernels::add(grad_.data(), row.data(), d);
         }
@@ -178,15 +164,61 @@ class SentenceTrainer {
     return shard_;
   }
 
-  [[nodiscard]] Rng& rng() noexcept { return rng_; }
-
  private:
+  /// An output row one update will touch, and its label (1 = positive).
+  struct PlannedRow {
+    std::uint32_t row;
+    std::uint32_t label;
+  };
+
+  /// Draws `target`'s output rows into plan_ and prefetches each for
+  /// writing.
+  void plan_and_prefetch(std::uint32_t target) {
+    plan_.clear();
+    if (state_.config.objective == Objective::kNegativeSampling) {
+      plan_.push_back({target, 1});
+      for (std::size_t k = 0; k < state_.config.negative; ++k) {
+        const auto sample = static_cast<std::uint32_t>(state_.noise.sample(rng_));
+        if (sample == target) continue;  // word2vec skips collisions
+        plan_.push_back({sample, 0});
+      }
+    } else {
+      const HuffmanCode& code = state_.huffman->code(target);
+      for (std::size_t b = 0; b < code.code.size(); ++b) {
+        // Huffman branch 0 is the "positive" direction, as in word2vec.
+        plan_.push_back({code.points[b], code.code[b] == 0 ? 1u : 0u});
+      }
+    }
+    const std::size_t row_bytes = state_.config.dimensions * sizeof(float);
+    for (const PlannedRow& planned : plan_) {
+      kernels::prefetch_for_write(state_.syn1.row(planned.row).data(), row_bytes,
+                                  prefetchw_);
+    }
+  }
+
+  /// Update: trains the hidden->output layer for the planned rows given
+  /// the assembled input vector; fills grad_ with the back-propagated
+  /// gradient and returns the summed pair losses.
+  double update_planned(const float* input) {
+    const std::size_t d = state_.config.dimensions;
+    kernels::fill(grad_.data(), 0.0f, d);
+    double loss = 0.0;
+    for (const PlannedRow& planned : plan_) {
+      loss += pair_update(sigmoid_, input, state_.syn1.row(planned.row).data(),
+                          grad_.data(), d, planned.label, lr_);
+    }
+    return loss;
+  }
+
   TrainerState& state_;
+  const SigmoidTable& sigmoid_;
   Rng rng_;
   AlignedVector<float> neu1_, grad_;  // 64-byte aligned SGD scratch
   std::vector<std::uint32_t> sentence_;
+  std::vector<PlannedRow> plan_;
   EpochShard shard_;
   float lr_;
+  bool prefetchw_;
   std::uint64_t since_lr_update_ = 0;
 };
 
@@ -194,6 +226,22 @@ void validate_config(const TrainConfig& config) {
   if (config.dimensions == 0) throw std::invalid_argument("train: dimensions == 0");
   if (config.window == 0) throw std::invalid_argument("train: window == 0");
   if (config.epochs == 0) throw std::invalid_argument("train: epochs == 0");
+  // The comparisons below are false for NaN, so NaN fails each check. SGD
+  // runs the rate as a float: past FLT_MAX it casts to inf and the
+  // embedding silently turns to NaN.
+  if (!(config.initial_lr > 0.0 &&
+        config.initial_lr <= std::numeric_limits<float>::max())) {
+    throw std::invalid_argument("train: initial_lr must be finite, > 0 and <= FLT_MAX");
+  }
+  if (!(config.min_lr_fraction >= 0.0 && config.min_lr_fraction <= 1.0)) {
+    throw std::invalid_argument("train: min_lr_fraction must be in [0, 1]");
+  }
+  if (!(std::isfinite(config.subsample) && config.subsample >= 0.0)) {
+    throw std::invalid_argument("train: subsample must be finite and >= 0");
+  }
+  if (!(std::isfinite(config.convergence_tol) && config.convergence_tol >= 0.0)) {
+    throw std::invalid_argument("train: convergence_tol must be finite and >= 0");
+  }
 }
 
 /// NUMA page placement for a freshly constructed (hence all-zero) shared
@@ -351,9 +399,11 @@ TrainResult run_training(TrainerState& state,
 /// (seed, grain), not on which worker claims which chunk). Used by both
 /// the cold-start and warm-start entry points, for RAM-resident and
 /// spooled corpora alike — the chunk geometry is a pure function of
-/// walk_count, so the two backings train bit-identically. Chunks are
-/// handed out through the node-preferring NUMA queue (a no-op schedule on
-/// single-node hosts), which changes claiming order only, never results.
+/// walk_count, so the two backings train bit-identically. Each worker
+/// owns a contiguous home range of chunks (numa::worker_schedule) and
+/// steals only once it is drained: on a start-vertex-ordered corpus the
+/// workers then train different communities at once instead of sharing
+/// one community's output rows. Claiming order changes, results do not.
 TrainResult run_corpus_training(TrainerState& state,
                                 const walk::CorpusReader& corpus) {
   const TrainConfig& config = state.config;
@@ -364,12 +414,12 @@ TrainResult run_corpus_training(TrainerState& state,
   state.grain = grain;
   state.chunks = chunks;
   const Rng root(config.seed ^ 0xd1b54a32d192ed03ULL);
-  const NumaSchedule numa_schedule = numa::schedule();
+  const NumaSchedule schedule = numa::worker_schedule(threads);
 
   return run_training(state, [&](std::size_t epoch) {
     std::vector<EpochShard> shards(chunks);
     parallel_for_dynamic(
-        threads, corpus.walk_count(), grain, numa_schedule,
+        threads, corpus.walk_count(), grain, schedule,
         [&](std::size_t /*worker*/, std::size_t chunk, std::size_t begin,
             std::size_t end) {
           // Kick off readahead for the whole chunk before the SGD loop
@@ -572,12 +622,12 @@ TrainResult train_embedding_streaming(const graph::Graph& g,
   state.chunks = chunks;
   const Rng root(config.seed ^ 0xd1b54a32d192ed03ULL);
   const Rng walk_root(config.seed ^ 0x94d049bb133111ebULL);
-  const NumaSchedule numa_schedule = numa::schedule();
+  const NumaSchedule schedule = numa::worker_schedule(threads);
 
   TrainResult result = run_training(state, [&](std::size_t epoch) {
     std::vector<EpochShard> shards(chunks);
     parallel_for_dynamic(
-        threads, vocab_size, grain, numa_schedule,
+        threads, vocab_size, grain, schedule,
         [&](std::size_t /*worker*/, std::size_t chunk, std::size_t begin,
             std::size_t end) {
           SentenceTrainer trainer(state, root.fork(epoch * chunks + chunk));

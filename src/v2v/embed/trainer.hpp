@@ -8,7 +8,16 @@
 //
 // Training runs Hogwild-style: worker threads update the shared weight
 // matrices without locks, which is the standard word2vec recipe. With one
-// thread, training is fully deterministic for a fixed seed.
+// thread, training is fully deterministic for a fixed seed. On a small
+// vocabulary (a 1,000-vertex graph) the workers keep writing the same few
+// output rows, and each pair update would stall on a cache line another
+// core just dirtied. Three things keep that cost off the critical path:
+// each target's output rows are drawn first and prefetched for writing
+// before its input vector is assembled; each worker drains its own
+// contiguous range of the corpus before it steals (word2vec's per-thread
+// file split), so workers train different communities at once; and the
+// per-pair loss comes from the sigmoid table rather than std::log. None of
+// them changes the random stream or any 1-thread result.
 //
 // Early stopping reproduces the paper's Fig 7 behaviour (training time
 // decreases as community structure strengthens): when the relative

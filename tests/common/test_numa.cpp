@@ -38,7 +38,7 @@ TEST(Numa, FakeNodesEnvBuildsSyntheticTopology) {
   // Synthetic nodes have no cpu lists, so the schedule must not try to
   // pin workers.
   const NumaSchedule sched = schedule(topo);
-  EXPECT_EQ(sched.nodes, 4u);
+  EXPECT_EQ(sched.ranges, 4u);
   EXPECT_FALSE(static_cast<bool>(sched.bind_worker));
 }
 
@@ -67,6 +67,31 @@ TEST(Numa, NodeOfChunkInvertsTheContiguousSplit) {
       }
     }
   }
+}
+
+TEST(Numa, NodeOfWorkerSplitsWorkersIntoContiguousGroups) {
+  // floor(w * N / W): contiguous groups whose sizes differ by at most one.
+  EXPECT_EQ((std::vector<std::size_t>{0, 0, 1, 1}),
+            (std::vector<std::size_t>{node_of_worker(0, 4, 2), node_of_worker(1, 4, 2),
+                                      node_of_worker(2, 4, 2), node_of_worker(3, 4, 2)}));
+  EXPECT_EQ((std::vector<std::size_t>{0, 0, 1}),
+            (std::vector<std::size_t>{node_of_worker(0, 3, 2), node_of_worker(1, 3, 2),
+                                      node_of_worker(2, 3, 2)}));
+  std::vector<std::size_t> eight;
+  for (std::size_t w = 0; w < 8; ++w) eight.push_back(node_of_worker(w, 8, 3));
+  EXPECT_EQ(eight, (std::vector<std::size_t>{0, 0, 0, 1, 1, 1, 2, 2}));
+  EXPECT_EQ(node_of_worker(5, 8, 1), 0u);  // single node
+}
+
+TEST(Numa, WorkerScheduleGivesEveryWorkerItsOwnRange) {
+  Topology fake;
+  fake.node_cpus.assign(2, {});
+  fake.synthetic = true;
+  const NumaSchedule sched = worker_schedule(fake, 5);
+  EXPECT_EQ(sched.ranges, 5u);
+  // Synthetic nodes have no cpus to pin to.
+  EXPECT_FALSE(static_cast<bool>(sched.bind_worker));
+  EXPECT_EQ(worker_schedule(fake, 0).ranges, 1u);
 }
 
 TEST(Numa, BindCurrentThreadIsSafeForAnyNode) {
@@ -100,7 +125,7 @@ TEST(ParallelForNuma, CoversEveryChunkExactlyOnce) {
   const std::size_t chunks = chunk_count(count, grain);
   std::vector<std::atomic<int>> hits(chunks);
   NumaSchedule sched;
-  sched.nodes = 3;
+  sched.ranges = 3;
   parallel_for_dynamic(4, count, grain, sched,
                        [&](std::size_t /*worker*/, std::size_t chunk,
                            std::size_t begin, std::size_t end) {
@@ -137,7 +162,7 @@ TEST(ParallelForNuma, PerChunkResultsMatchPlainQueue) {
   const auto plain = run(nullptr, 1);
   for (const std::size_t nodes : {1u, 2u, 4u, 7u}) {
     NumaSchedule sched;
-    sched.nodes = nodes;
+    sched.ranges = nodes;
     EXPECT_EQ(run(&sched, 4), plain) << nodes << " nodes";
     EXPECT_EQ(run(&sched, 1), plain) << nodes << " nodes, single worker";
   }
@@ -145,7 +170,7 @@ TEST(ParallelForNuma, PerChunkResultsMatchPlainQueue) {
 
 TEST(ParallelForNuma, MoreNodesThanChunksStillCovers) {
   NumaSchedule sched;
-  sched.nodes = 16;
+  sched.ranges = 16;
   std::vector<std::atomic<int>> hits(2);
   parallel_for_dynamic(4, 20, 10, sched,
                        [&](std::size_t, std::size_t chunk, std::size_t,
@@ -158,7 +183,7 @@ TEST(ParallelForNuma, MoreNodesThanChunksStillCovers) {
 
 TEST(ParallelForNuma, ZeroCountRunsNothing) {
   NumaSchedule sched;
-  sched.nodes = 4;
+  sched.ranges = 4;
   bool ran = false;
   parallel_for_dynamic(4, 0, 8, sched,
                        [&](std::size_t, std::size_t, std::size_t,

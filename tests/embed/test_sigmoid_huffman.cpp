@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <set>
 
 #include "v2v/embed/huffman.hpp"
 #include "v2v/embed/sigmoid_table.hpp"
@@ -150,6 +152,47 @@ TEST(SigmoidTable, BoundaryJustInsideRangeIndexesSafely) {
   const float just_above = std::nextafter(-SigmoidTable::kMaxExp, 0.0f);
   EXPECT_GT(table(just_below), 0.99f);
   EXPECT_LT(table(just_above), 0.01f);
+}
+
+TEST(SigmoidTable, LossIsTheLogOfTheTabulatedSigmaInEverySlot) {
+  // The trainer reads each pair's loss from the slot instead of calling
+  // std::log; the reported loss stays bit-identical only if every slot
+  // holds exactly what -log(max(p, 1e-7)) gives for its own sigma.
+  const SigmoidTable& table = sigmoid_table();
+  std::set<const SigmoidTable::Entry*> seen;
+  const auto check = [&](float x) {
+    const SigmoidTable::Entry& slot = table.entry(x);
+    seen.insert(&slot);
+    EXPECT_EQ(slot.sigma, table(x)) << "x=" << x;
+    const float sigma = slot.sigma;
+    EXPECT_EQ(slot.loss[1], -std::log(std::max(static_cast<double>(sigma), 1e-7)))
+        << "x=" << x;
+    EXPECT_EQ(slot.loss[0],
+              -std::log(std::max(static_cast<double>(1.0f - sigma), 1e-7)))
+        << "x=" << x;
+  };
+  // Bin i covers [-6 + i*w, -6 + (i+1)*w); probe each bin's lower edge,
+  // the float just below it and its midpoint.
+  constexpr std::size_t kBins = 1024;
+  const float width = 2.0f * SigmoidTable::kMaxExp / static_cast<float>(kBins);
+  for (std::size_t i = 0; i < kBins; ++i) {
+    const float edge = -SigmoidTable::kMaxExp + static_cast<float>(i) * width;
+    check(edge);
+    check(std::nextafter(edge, -std::numeric_limits<float>::infinity()));
+    check(edge + 0.5f * width);
+  }
+  const float kMax = SigmoidTable::kMaxExp;
+  const float kInf = std::numeric_limits<float>::infinity();
+  for (const float x : {kMax, -kMax, std::nextafter(kMax, 0.0f),
+                        std::nextafter(-kMax, 0.0f), kInf, -kInf,
+                        std::numeric_limits<float>::quiet_NaN()}) {
+    check(x);
+  }
+  EXPECT_EQ(seen.size(), kBins + 3) << "every bin and the three clamp slots";
+  EXPECT_EQ(table.entry(kInf).sigma, 1.0f);
+  EXPECT_EQ(table.entry(-kInf).sigma, 0.0f);
+  EXPECT_EQ(table.entry(std::numeric_limits<float>::quiet_NaN()).sigma, 0.5f);
+  EXPECT_EQ(table.entry(-kInf).loss[1], -std::log(1e-7));  // clamped p = 0
 }
 
 TEST(Huffman, MeanCodeLengthOnHugeFrequenciesStaysFinite) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "v2v/graph/generators.hpp"
 #include "v2v/walk/walker.hpp"
 
@@ -171,16 +174,80 @@ TEST(Trainer, UnvisitedVertexKeepsSmallVector) {
 TEST(Trainer, InvalidConfigThrows) {
   walk::Corpus corpus;
   corpus.add_walk(std::vector<graph::VertexId>{0, 1});
+  const auto expect_rejected = [&](const TrainConfig& config, const char* what) {
+    EXPECT_THROW((void)train_embedding(corpus, 2, config), std::invalid_argument)
+        << what;
+  };
   TrainConfig config = fast_config();
   config.dimensions = 0;
-  EXPECT_THROW((void)train_embedding(corpus, 2, config), std::invalid_argument);
+  expect_rejected(config, "dimensions 0");
   config = fast_config();
   config.window = 0;
-  EXPECT_THROW((void)train_embedding(corpus, 2, config), std::invalid_argument);
+  expect_rejected(config, "window 0");
   config = fast_config();
   config.epochs = 0;
-  EXPECT_THROW((void)train_embedding(corpus, 2, config), std::invalid_argument);
+  expect_rejected(config, "epochs 0");
   EXPECT_THROW((void)train_embedding(corpus, 0, fast_config()), std::invalid_argument);
+
+  // Each of these used to train silently: a NaN or overflowing rate to an
+  // all-NaN embedding, a negative one by gradient ascent, a floor above 1
+  // at a multiple of the initial rate.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double lr : {nan, inf, -inf, 1e300, 0.0, -0.05}) {
+    config = fast_config();
+    config.initial_lr = lr;
+    expect_rejected(config, "initial_lr");
+  }
+  for (const double fraction : {nan, inf, -inf, 2.0, -0.1}) {
+    config = fast_config();
+    config.min_lr_fraction = fraction;
+    expect_rejected(config, "min_lr_fraction");
+  }
+  for (const double subsample : {nan, inf, -inf, -1e-3}) {
+    config = fast_config();
+    config.subsample = subsample;
+    expect_rejected(config, "subsample");
+  }
+  for (const double tol : {nan, inf, -inf, -0.1}) {
+    config = fast_config();
+    config.convergence_tol = tol;
+    expect_rejected(config, "convergence_tol");
+  }
+
+  // The edges of each range still train.
+  config = fast_config();
+  config.initial_lr = std::numeric_limits<float>::denorm_min();
+  config.min_lr_fraction = 1.0;
+  EXPECT_NO_THROW((void)train_embedding(corpus, 2, config));
+  config.initial_lr = std::numeric_limits<float>::max();
+  EXPECT_NO_THROW((void)train_embedding(corpus, 2, config));
+  config = fast_config();
+  config.min_lr_fraction = 0.0;
+  config.subsample = 0.0;
+  config.convergence_tol = 0.0;
+  EXPECT_NO_THROW((void)train_embedding(corpus, 2, config));
+}
+
+TEST(Trainer, InvalidConfigThrowsOnResumeAndStreaming) {
+  // Resume and streaming share the cold path's validation.
+  walk::Corpus corpus;
+  corpus.add_walk(std::vector<graph::VertexId>{0, 1, 0, 1});
+  TrainConfig config = fast_config();
+  config.capture_checkpoint = true;
+  const auto warm = train_embedding(corpus, 2, config);
+  ASSERT_TRUE(warm.checkpoint.has_value());
+  config.initial_lr = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(
+      (void)train_embedding_resume(corpus, warm.embedding, *warm.checkpoint, config),
+      std::invalid_argument);
+  const auto g = graph::make_ring(6);
+  walk::WalkConfig walks;
+  walks.walks_per_vertex = 2;
+  walks.walk_length = 5;
+  config = fast_config();
+  config.min_lr_fraction = 2.0;
+  EXPECT_THROW((void)train_embedding_streaming(g, walks, config), std::invalid_argument);
 }
 
 TEST(Trainer, TokenOutOfVocabThrows) {
