@@ -108,35 +108,6 @@ void BM_IvfBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_IvfBuild);
 
-/// One subspace's IVF-PQ ADC table (kernels::pq_lut) at the served shape,
-/// 64 dims in 16 subspaces, once per compiled kernel variant (argument =
-/// index into compiled_variants(), scalar first): the variant-versus-
-/// reference ratio that justifies a SIMD variant.
-void BM_PqLut(benchmark::State& state) {
-  const auto variants = kernels::compiled_variants();
-  const auto v = static_cast<std::size_t>(state.range(0));
-  if (v >= variants.size()) {
-    state.SkipWithError("variant not compiled or not supported by this CPU");
-    return;
-  }
-  constexpr std::size_t kSubDim = 4;
-  Rng rng(5);
-  std::vector<float> q(kSubDim), book(kSubDim * kernels::kPqLutStride);
-  for (float& x : q) x = static_cast<float>(rng.next_gaussian());
-  for (float& x : book) x = static_cast<float>(rng.next_gaussian());
-  std::vector<float> lut(kernels::kPqLutStride);
-  const auto pq_lut = variants[v].second.pq_lut;
-  for (auto _ : state) {
-    pq_lut(q.data(), book.data(), kSubDim, lut.data());
-    benchmark::DoNotOptimize(lut.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetLabel(kernels::isa_name(variants[v].first));
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kernels::kPqLutStride));
-}
-BENCHMARK(BM_PqLut)->DenseRange(0, 2);
-
 std::filesystem::path bench_out_dir() {
   const char* env = std::getenv("V2V_BENCH_OUT");
   return (env != nullptr && *env != '\0') ? std::filesystem::path(env)

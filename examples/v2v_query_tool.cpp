@@ -36,6 +36,7 @@
 #include <deque>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -74,9 +75,10 @@ void maybe_write_metrics(const CliArgs& args, const obs::MetricsRegistry& regist
 
 index::DistanceMetric metric_from(const CliArgs& args) {
   const std::string name = args.get("metric", "cosine");
-  return name == "l2" || name == "euclidean"
-             ? index::DistanceMetric::kEuclidean
-             : index::DistanceMetric::kCosine;
+  if (name == "cosine") return index::DistanceMetric::kCosine;
+  if (name == "l2" || name == "euclidean") return index::DistanceMetric::kEuclidean;
+  throw std::invalid_argument("--metric=" + name +
+                              " (expected cosine, l2 or euclidean)");
 }
 
 int cmd_convert(const CliArgs& args) {
@@ -99,8 +101,7 @@ int cmd_convert(const CliArgs& args) {
 
   const auto emb = embed::Embedding::load_text_file(args.positional()[1]);
   const auto metric = metric_from(args);
-  const auto threads =
-      static_cast<std::size_t>(args.get_int("build-threads", 1));
+  const std::size_t threads = args.get_size("build-threads", 1);
   store::SnapshotBuilder builder(emb.vertex_count(), emb.dimensions());
   if (args.get_bool("keep-floats")) {
     builder.set_float_matrix(store::EmbeddingView::of(emb));
@@ -117,7 +118,7 @@ int cmd_convert(const CliArgs& args) {
     if (quantize.size() > 3) {
       config.m = static_cast<std::size_t>(std::stoul(quantize.substr(3)));
     }
-    config.nlist = static_cast<std::size_t>(args.get_int("nlist", 0));
+    config.nlist = args.get_size("nlist", 0);
     config.threads = threads;
     const index::IvfPqIndex ivfpq(store::EmbeddingView::of(emb), metric,
                                   config);
@@ -208,12 +209,14 @@ bool parse_query(const std::string& line, std::size_t dims,
 serve::BatchQueueConfig batch_config_from(const CliArgs& args,
                                           obs::MetricsRegistry& metrics) {
   serve::BatchQueueConfig config;
-  config.max_batch = static_cast<std::size_t>(args.get_int("batch", 64));
-  config.max_linger =
-      std::chrono::microseconds(args.get_int("linger-us", 200));
-  config.queue_capacity = static_cast<std::size_t>(args.get_int("queue", 4096));
-  config.default_deadline =
-      std::chrono::milliseconds(args.get_int("deadline-ms", 1000));
+  config.max_batch = args.get_size("batch", 64);
+  // Durations are capped at 2^32 - 1 units, the range of the wire
+  // protocol's per-request deadline_ms.
+  config.max_linger = std::chrono::microseconds(
+      args.get_size("linger-us", 200, std::numeric_limits<std::uint32_t>::max()));
+  config.queue_capacity = args.get_size("queue", 4096);
+  config.default_deadline = std::chrono::milliseconds(
+      args.get_size("deadline-ms", 1000, std::numeric_limits<std::uint32_t>::max()));
   config.metrics = &metrics;
   return config;
 }
@@ -223,8 +226,9 @@ int serve_network(const CliArgs& args, const index::QueryEngine& engine,
                   obs::MetricsRegistry& metrics) {
   serve::ServerConfig config;
   config.host = args.get("host", "127.0.0.1");
-  config.port = static_cast<std::uint16_t>(args.get_int("port", 0));
-  config.max_connections = static_cast<std::size_t>(args.get_int("max-conns", 256));
+  config.port = static_cast<std::uint16_t>(
+      args.get_size("port", 0, std::numeric_limits<std::uint16_t>::max()));
+  config.max_connections = args.get_size("max-conns", 256);
   config.batch = batch_config_from(args, metrics);
   config.metrics = &metrics;
   serve::Server server(engine, config);
@@ -317,14 +321,13 @@ int cmd_serve(const CliArgs& args) {
                mapped.has_floats() ? "" : ", no float matrix");
 
   const auto metric = metric_from(args);
-  const auto threads = static_cast<std::size_t>(args.get_int("threads", 1));
-  const auto k = static_cast<std::size_t>(args.get_int("k", 10));
-  const auto rerank = static_cast<std::size_t>(args.get_int("rerank", 0));
+  const std::size_t threads = args.get_size("threads", 1);
+  const std::size_t k = args.get_size("k", 10);
+  const std::size_t rerank = args.get_size("rerank", 0);
   // --build-threads overrides --threads for one-off index builds only
   // (use all cores to build, few to serve); it never affects query
   // results or serving parallelism.
-  const auto build_threads = static_cast<std::size_t>(
-      args.get_int("build-threads", static_cast<std::int64_t>(threads)));
+  const std::size_t build_threads = args.get_size("build-threads", threads);
   const std::string kind = args.get("index", "flat");
 
   const auto require_floats = [&](const char* what) {
@@ -350,8 +353,8 @@ int cmd_serve(const CliArgs& args) {
   if (kind == "ivf") {
     require_floats("--index=ivf needs float rows (use sq8/ivfpq)");
     index::IvfConfig config;
-    config.nlist = static_cast<std::size_t>(args.get_int("nlist", 0));
-    config.nprobe = static_cast<std::size_t>(args.get_int("nprobe", 8));
+    config.nlist = args.get_size("nlist", 0);
+    config.nprobe = args.get_size("nprobe", 8);
     config.threads = build_threads;
     config.metrics = &metrics;
     idx = std::make_unique<index::IvfIndex>(mapped.float_view(), metric,
@@ -370,8 +373,8 @@ int cmd_serve(const CliArgs& args) {
     }
   } else if (kind == "ivfpq") {
     index::IvfPqConfig config;
-    config.nlist = static_cast<std::size_t>(args.get_int("nlist", 0));
-    config.nprobe = static_cast<std::size_t>(args.get_int("nprobe", 8));
+    config.nlist = args.get_size("nlist", 0);
+    config.nprobe = args.get_size("nprobe", 8);
     config.rerank = rerank;
     config.threads = build_threads;
     config.metrics = &metrics;
@@ -482,46 +485,31 @@ void usage() {
       "unknown flags are a hard error (exit 2).\n");
 }
 
-/// Hard-errors on any flag the subcommand does not know. Returns true
-/// when the command line is clean.
-bool check_flags(const CliArgs& args,
-                 std::initializer_list<std::string_view> known) {
-  const auto unknown = args.unknown_flags(known);
-  if (unknown.empty()) return true;
-  for (const auto& flag : unknown) {
-    std::fprintf(stderr, "error: unknown flag --%s\n", flag.c_str());
-  }
-  usage();
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  const auto run = [&](std::initializer_list<std::string_view> known,
+                       int (*cmd)(const CliArgs&)) {
+    if (args.check_flags(known)) return cmd(args);
+    usage();
+    return 2;
+  };
   try {
     const auto& pos = args.positional();
     const std::string command = pos.empty() ? "" : pos[0];
     if (command == "convert" && pos.size() >= 3) {
-      return check_flags(args, {"quantize", "keep-floats", "metric", "nlist",
-                                "build-threads"})
-                 ? cmd_convert(args)
-                 : 2;
+      return run({"quantize", "keep-floats", "metric", "nlist", "build-threads"},
+                 cmd_convert);
     }
-    if (command == "export" && pos.size() >= 3) {
-      return check_flags(args, {}) ? cmd_export(args) : 2;
-    }
-    if (command == "info" && pos.size() >= 2) {
-      return check_flags(args, {}) ? cmd_info(args) : 2;
-    }
+    if (command == "export" && pos.size() >= 3) return run({}, cmd_export);
+    if (command == "info" && pos.size() >= 2) return run({}, cmd_info);
     if (command == "serve" && pos.size() >= 2) {
-      return check_flags(args, {"index", "metric", "k", "nlist", "nprobe",
-                                "rerank", "threads", "build-threads",
-                                "queries", "no-mmap", "metrics-out", "port",
-                                "host", "batch", "linger-us", "queue",
-                                "deadline-ms", "max-conns"})
-                 ? cmd_serve(args)
-                 : 2;
+      return run({"index", "metric", "k", "nlist", "nprobe", "rerank", "threads",
+                  "build-threads", "queries", "no-mmap", "metrics-out", "port",
+                  "host", "batch", "linger-us", "queue", "deadline-ms",
+                  "max-conns"},
+                 cmd_serve);
     }
     usage();
     return 2;

@@ -82,15 +82,10 @@ graph::Graph load_graph(const std::string& path, const CliArgs& args) {
 V2VConfig config_from_args(const CliArgs& args) {
   V2VConfig config;
   if (args.has("config")) config = load_config_file(args.get("config", ""));
-  config.train.dimensions =
-      static_cast<std::size_t>(args.get_int("dims", static_cast<std::int64_t>(
-                                                        config.train.dimensions)));
-  config.walk.walks_per_vertex = static_cast<std::size_t>(args.get_int(
-      "walks", static_cast<std::int64_t>(config.walk.walks_per_vertex)));
-  config.walk.walk_length = static_cast<std::size_t>(args.get_int(
-      "walk-length", static_cast<std::int64_t>(config.walk.walk_length)));
-  config.train.epochs = static_cast<std::size_t>(
-      args.get_int("epochs", static_cast<std::int64_t>(config.train.epochs)));
+  config.train.dimensions = args.get_size("dims", config.train.dimensions);
+  config.walk.walks_per_vertex = args.get_size("walks", config.walk.walks_per_vertex);
+  config.walk.walk_length = args.get_size("walk-length", config.walk.walk_length);
+  config.train.epochs = args.get_size("epochs", config.train.epochs);
   config.seed = static_cast<std::uint64_t>(args.get_int(
       "seed", static_cast<std::int64_t>(config.seed)));
   if (args.get_bool("temporal")) config.walk.temporal = true;
@@ -102,7 +97,7 @@ V2VConfig config_from_args(const CliArgs& args) {
   // --threads feeds every stage that doesn't already have an explicit
   // count from a config file (walk/train/kmeans all default to 1).
   if (args.has("threads")) {
-    const auto threads = static_cast<std::size_t>(args.get_int("threads", 1));
+    const std::size_t threads = args.get_size("threads", 1);
     if (config.walk.threads <= 1) config.walk.threads = threads;
     if (config.train.threads <= 1) config.train.threads = threads;
     if (config.kmeans.threads <= 1) config.kmeans.threads = threads;
@@ -188,8 +183,7 @@ int cmd_refresh(const CliArgs& args) {
   }
   embed::Embedding embedding{std::move(warm)};
 
-  const auto threads =
-      static_cast<std::size_t>(args.get_int("threads", 1));
+  const std::size_t threads = args.get_size("threads", 1);
   walk::WalkConfig walk_config;
   walk_config.walks_per_vertex = checkpoint.walks_per_vertex;
   walk_config.walk_length = checkpoint.walk_length;
@@ -206,12 +200,11 @@ int cmd_refresh(const CliArgs& args) {
   train_config.min_lr_fraction = checkpoint.min_lr_fraction;
   train_config.subsample = checkpoint.subsample;
   train_config.seed = checkpoint.seed;
-  train_config.epochs =
-      static_cast<std::size_t>(args.get_int("epochs", 10));
+  train_config.epochs = args.get_size("epochs", 10);
   train_config.threads = threads;
 
   dynamic::RefreshTuning tuning;
-  tuning.epochs = static_cast<std::size_t>(args.get_int("refresh-epochs", 2));
+  tuning.epochs = args.get_size("refresh-epochs", 2);
   tuning.initial_lr = args.get_double("refresh-lr", 0.0);
 
   dynamic::DynamicGraph graph(args.get_bool("directed"), tuning.graph_config());
@@ -257,7 +250,7 @@ int cmd_refresh(const CliArgs& args) {
 int cmd_communities(const CliArgs& args) {
   const auto& input = args.positional().at(1);
   const graph::Graph g = load_graph(input, args);
-  const auto k = static_cast<std::size_t>(args.get_int("k", 10));
+  const std::size_t k = args.get_size("k", 10);
   const std::string method = args.get("method", "v2v");
 
   obs::MetricsRegistry metrics;
@@ -302,9 +295,9 @@ int cmd_predict(const CliArgs& args) {
   const auto embedding = embed::Embedding::load_text_file(args.positional().at(1));
   const auto labels =
       graph::read_labels_file(args.positional().at(2), embedding.vertex_count());
-  const auto k = static_cast<std::size_t>(args.get_int("k", 3));
-  const auto folds = static_cast<std::size_t>(args.get_int("folds", 10));
-  const auto repeats = static_cast<std::size_t>(args.get_int("repeats", 3));
+  const std::size_t k = args.get_size("k", 3);
+  const std::size_t folds = args.get_size("folds", 10);
+  const std::size_t repeats = args.get_size("repeats", 3);
   obs::MetricsRegistry metrics;
   LabelPredictionResult result;
   {
@@ -326,7 +319,7 @@ int cmd_nearest(const CliArgs& args) {
     std::fprintf(stderr, "bad vertex id\n");
     return 2;
   }
-  const auto k = static_cast<std::size_t>(args.get_int("k", 5));
+  const std::size_t k = args.get_size("k", 5);
   for (const auto u : index::nearest(embedding, static_cast<std::size_t>(*vertex), k)) {
     std::printf("%u\t%.4f\n", u,
                 embedding.cosine_similarity(static_cast<std::size_t>(*vertex), u));
@@ -337,7 +330,7 @@ int cmd_nearest(const CliArgs& args) {
 int cmd_layout(const CliArgs& args) {
   const graph::Graph g = load_graph(args.positional().at(1), args);
   viz::ForceAtlas2Config config;
-  config.iterations = static_cast<std::size_t>(args.get_int("iterations", 200));
+  config.iterations = args.get_size("iterations", 200);
   const auto layout = viz::layout_forceatlas2(g, config);
   viz::SvgOptions svg;
   svg.draw_edges = true;
@@ -373,19 +366,6 @@ void usage() {
                "       unknown flags are a hard error (exit 2)\n");
 }
 
-/// Hard-errors on any flag the subcommand does not know. Returns true
-/// when the command line is clean.
-bool check_flags(const CliArgs& args,
-                 std::initializer_list<std::string_view> known) {
-  const auto unknown = args.unknown_flags(known);
-  if (unknown.empty()) return true;
-  for (const auto& flag : unknown) {
-    std::fprintf(stderr, "error: unknown flag --%s\n", flag.c_str());
-  }
-  usage();
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -395,48 +375,40 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string& command = args.positional()[0];
+  const auto run = [&](std::initializer_list<std::string_view> known,
+                       int (*cmd)(const CliArgs&)) {
+    if (args.check_flags(known)) return cmd(args);
+    usage();
+    return 2;
+  };
   try {
     const std::size_t n = args.positional().size();
     if (command == "embed" && n >= 2) {
-      return check_flags(args, {"config", "dims", "walks", "walk-length",
-                                "epochs", "seed", "temporal", "threads",
-                                "directed", "metrics-out", "output",
-                                "save-config", "save-snapshot", "corpus-spool"})
-                 ? cmd_embed(args)
-                 : 2;
+      return run({"config", "dims", "walks", "walk-length", "epochs", "seed",
+                  "temporal", "threads", "directed", "metrics-out", "output",
+                  "save-config", "save-snapshot", "corpus-spool"},
+                 cmd_embed);
     }
     if (command == "refresh" && n >= 4) {
-      return check_flags(args, {"output", "save-edges", "full-retrain",
-                                "refresh-epochs", "refresh-lr", "epochs",
-                                "threads", "directed", "metrics-out",
-                                "corpus-spool"})
-                 ? cmd_refresh(args)
-                 : 2;
+      return run({"output", "save-edges", "full-retrain", "refresh-epochs",
+                  "refresh-lr", "epochs", "threads", "directed", "metrics-out",
+                  "corpus-spool"},
+                 cmd_refresh);
     }
     if (command == "communities" && n >= 2) {
-      return check_flags(args, {"config", "dims", "walks", "walk-length",
-                                "epochs", "seed", "temporal", "threads",
-                                "directed", "metrics-out", "k", "auto-k",
-                                "method"})
-                 ? cmd_communities(args)
-                 : 2;
+      return run({"config", "dims", "walks", "walk-length", "epochs", "seed",
+                  "temporal", "threads", "directed", "metrics-out", "k",
+                  "auto-k", "method"},
+                 cmd_communities);
     }
     if (command == "predict" && n >= 3) {
-      return check_flags(args, {"k", "folds", "repeats", "metrics-out"})
-                 ? cmd_predict(args)
-                 : 2;
+      return run({"k", "folds", "repeats", "metrics-out"}, cmd_predict);
     }
-    if (command == "nearest" && n >= 3) {
-      return check_flags(args, {"k"}) ? cmd_nearest(args) : 2;
-    }
+    if (command == "nearest" && n >= 3) return run({"k"}, cmd_nearest);
     if (command == "layout" && n >= 2) {
-      return check_flags(args, {"output", "iterations", "directed"})
-                 ? cmd_layout(args)
-                 : 2;
+      return run({"output", "iterations", "directed"}, cmd_layout);
     }
-    if (command == "stats" && n >= 2) {
-      return check_flags(args, {"directed"}) ? cmd_stats(args) : 2;
-    }
+    if (command == "stats" && n >= 2) return run({"directed"}, cmd_stats);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

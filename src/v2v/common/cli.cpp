@@ -1,7 +1,10 @@
 #include "v2v/common/cli.hpp"
 
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <system_error>
 
 #include "v2v/common/string_util.hpp"
 
@@ -39,6 +42,21 @@ std::int64_t CliArgs::get_int(const std::string& name, std::int64_t fallback) co
   const auto value = parse_int(it->second);
   if (!value) throw std::invalid_argument("--" + name + " expects an integer");
   return *value;
+}
+
+std::size_t CliArgs::get_size(const std::string& name, std::size_t fallback,
+                              std::size_t max) const {
+  const auto it = flags_.find(name);
+  if (it == flags_.end()) return fallback;
+  const std::string_view text = trim(it->second);
+  std::uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || ec != std::errc{} || ptr != text.data() + text.size() ||
+      value > max) {
+    throw std::invalid_argument("--" + name + " expects an integer in [0, " +
+                                std::to_string(max) + "], got '" + it->second + "'");
+  }
+  return static_cast<std::size_t>(value);
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
@@ -82,6 +100,14 @@ std::vector<std::string> CliArgs::unknown_flags(
     if (!found) unknown.push_back(name);
   }
   return unknown;  // flags_ is an ordered map, so this is sorted
+}
+
+bool CliArgs::check_flags(std::initializer_list<std::string_view> known) const {
+  const auto unknown = unknown_flags(known);
+  for (const auto& flag : unknown) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", flag.c_str());
+  }
+  return unknown.empty();
 }
 
 bool CliArgs::full_scale() const {

@@ -3,6 +3,7 @@
 // harnesses also honor V2V_FULL=1 in the environment (paper-scale runs).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <map>
@@ -19,6 +20,11 @@ class CliArgs {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name, const std::string& fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// Non-negative count, duration or port. Throws std::invalid_argument
+  /// naming the flag and the range [0, max] unless the value is a decimal
+  /// integer in that range (so --threads=-1 is an error, not 2^64 - 1).
+  [[nodiscard]] std::size_t get_size(const std::string& name, std::size_t fallback,
+                                     std::size_t max = SIZE_MAX) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback = false) const;
 
@@ -40,6 +46,11 @@ class CliArgs {
   /// typo like --nprob silently ignored is a misconfigured server.
   [[nodiscard]] std::vector<std::string> unknown_flags(
       std::initializer_list<std::string_view> known) const;
+
+  /// Strict-parsing gate for a subcommand: prints "error: unknown flag
+  /// --<name>" to stderr for each unknown_flags(known) entry and returns
+  /// false if there was any (the tool then prints its usage and exits 2).
+  [[nodiscard]] bool check_flags(std::initializer_list<std::string_view> known) const;
 
   /// Path given via --metrics-out <file>.json (or the V2V_METRICS_OUT
   /// environment variable): where the run should write its JSON metrics

@@ -9,17 +9,17 @@
 //   ISA      | guard                      | width
 //   ---------+----------------------------+---------------------------
 //   AVX2/FMA | __builtin_cpu_supports     | 8 floats / 4 doubles
-//   SSE2     | x86 baseline               | 4 floats / 2 doubles
-//   NEON     | aarch64 baseline           | 4 floats (double ops scalar)
-//   scalar   | always                     | 1
+//   SSE2     | x86 baseline; a body only  | 4 floats / 2 doubles (7 of
+//            | where bench_micro_kernels  | the 17 members; the others
+//            | measures >= 1.2x scalar    | use the scalar reference)
+//   scalar   | always; all non-x86 builds | 1
 //
 // Setting the environment variable V2V_FORCE_SCALAR=1 pins dispatch to the
 // scalar reference (the CI "generic" lane runs the whole suite this way).
 //
-// Loads/stores use the unaligned intrinsic forms, which cost nothing extra
-// on aligned addresses on every AVX2-era core; MatrixF pads its row stride
-// to 64 bytes (common/aligned.hpp) so row traffic is cache-line-clean and
-// Hogwild writers on adjacent rows never share a line.
+// Loads/stores use the unaligned intrinsic forms, free on the 64-byte
+// aligned, line-padded MatrixF rows (common/aligned.hpp), so row traffic is
+// cache-line-clean and Hogwild writers on adjacent rows never share a line.
 //
 // ThreadSanitizer interplay: the Hogwild trainer intentionally races on
 // embedding rows, which is only standard-conformant through the relaxed
@@ -50,7 +50,7 @@
 namespace v2v::kernels {
 
 /// Instruction sets a kernel variant may be compiled for.
-enum class Isa : std::uint8_t { kScalar, kSse2, kAvx2, kNeon };
+enum class Isa : std::uint8_t { kScalar, kSse2, kAvx2 };
 
 [[nodiscard]] const char* isa_name(Isa isa) noexcept;
 

@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <stdexcept>
 
 #include "v2v/common/aligned.hpp"
 #include "v2v/common/check.hpp"
@@ -36,9 +38,11 @@ class Matrix {
   }
 
   Matrix() = default;
+  /// Throws std::length_error when the padded stride or rows * stride
+  /// does not fit in size_t (a wrapped size would under-allocate).
   Matrix(std::size_t rows, std::size_t cols, T fill = T{})
-      : rows_(rows), cols_(cols), stride_(padded_stride(cols)),
-        data_(rows * stride_, fill) {}
+      : rows_(rows), cols_(cols), stride_(checked_stride(cols)),
+        data_(checked_elements(rows, stride_), fill) {}
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
@@ -85,6 +89,20 @@ class Matrix {
   }
 
  private:
+  [[nodiscard]] static std::size_t checked_stride(std::size_t cols) {
+    const std::size_t stride = padded_stride(cols);
+    // Rounding up past SIZE_MAX wraps to a value below cols.
+    if (stride < cols) throw std::length_error("Matrix: row stride overflows size_t");
+    return stride;
+  }
+  [[nodiscard]] static std::size_t checked_elements(std::size_t rows,
+                                                    std::size_t stride) {
+    if (stride != 0 && rows > SIZE_MAX / stride) {
+      throw std::length_error("Matrix: rows * stride overflows size_t");
+    }
+    return rows * stride;
+  }
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::size_t stride_ = 0;

@@ -104,7 +104,9 @@ std::size_t default_grain(std::size_t count, std::size_t threads) noexcept {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  return std::max<std::size_t>(1, count / (threads * 16));
+  // count / threads / 16 == count / (threads * 16), without the product's
+  // overflow for absurd thread counts.
+  return std::max<std::size_t>(1, count / threads / 16);
 }
 
 std::size_t chunk_count(std::size_t count, std::size_t grain) noexcept {
@@ -129,59 +131,23 @@ void parallel_for_dynamic(
     }
     return;
   }
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&fn, &next, w, chunks, grain, count] {
-      for (;;) {
-        const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
-        if (c >= chunks) return;
-        fn(w, c, c * grain, std::min(count, (c + 1) * grain));
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-}
-
-void parallel_for_dynamic(
-    std::size_t threads, std::size_t count, std::size_t grain,
-    const NumaSchedule& schedule,
-    const std::function<void(std::size_t, std::size_t, std::size_t, std::size_t)>& fn) {
-  if (count == 0) return;
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  if (grain == 0) grain = default_grain(count, threads);
-  const std::size_t chunks = chunk_count(count, grain);
-  const std::size_t workers = std::min(threads, chunks);
-  const std::size_t ranges =
-      std::min(std::max<std::size_t>(1, schedule.ranges), chunks);
-  if (ranges <= 1 || workers <= 1) {
-    // Degenerate schedule: the single-queue handout already yields the
-    // same chunk geometry (and, for one worker, in-order execution).
-    parallel_for_dynamic(threads, count, grain, fn);
-    return;
-  }
 
   // Range r owns chunk indices [range_begin(r), range_begin(r + 1)):
-  // the smallest c with c*ranges/chunks == r is ceil(r*chunks/ranges).
-  const auto range_begin = [chunks, ranges](std::size_t r) {
-    return (r * chunks + ranges - 1) / ranges;
+  // the smallest c with c*workers/chunks == r is ceil(r*chunks/workers).
+  const auto range_begin = [chunks, workers](std::size_t r) {
+    return (r * chunks + workers - 1) / workers;
   };
   struct alignas(kCacheLineBytes) PaddedCounter {
     std::atomic<std::size_t> next{0};
   };
-  const auto counters = std::make_unique<PaddedCounter[]>(ranges);
+  const auto counters = std::make_unique<PaddedCounter[]>(workers);
 
   std::vector<std::thread> pool;
   pool.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     pool.emplace_back([&, w] {
-      const std::size_t home = w * ranges / workers;
-      if (schedule.bind_worker) schedule.bind_worker(w, home);
-      for (std::size_t offset = 0; offset < ranges; ++offset) {
-        const std::size_t r = (home + offset) % ranges;
+      for (std::size_t offset = 0; offset < workers; ++offset) {
+        const std::size_t r = (w + offset) % workers;
         const std::size_t lo = range_begin(r);
         const std::size_t len = range_begin(r + 1) - lo;
         for (;;) {

@@ -1,12 +1,13 @@
 // Minimal work-sharing thread pool with a blocking parallel_for, plus a
-// chunked atomic-counter dynamic loop (`parallel_for_dynamic`) used by
-// corpus generation and Hogwild SGD. Static block partitioning
+// chunked work queue (`parallel_for_dynamic`) used by corpus generation,
+// Hogwild SGD, k-means and the index builds. Static block partitioning
 // (`parallel_for_once`) serializes a whole block behind its slowest items;
 // the dynamic loop splits [0, count) into fixed grain-sized chunks that
-// idle workers claim from a shared atomic counter, so heavy-degree
-// vertices no longer stall an epoch. Chunk boundaries depend only on
-// (count, grain) — never on scheduling — so callers that store results
-// per chunk index stay deterministic across thread counts.
+// each worker drains from its own contiguous home range before stealing
+// from the others, so heavy-degree vertices no longer stall an epoch.
+// Chunk boundaries depend only on (count, grain) — never on scheduling —
+// so callers that store results per chunk index stay deterministic across
+// thread counts.
 #pragma once
 
 #include <cstddef>
@@ -69,42 +70,22 @@ void parallel_for_once(std::size_t threads, std::size_t count,
 /// `grain` items per chunk (the final chunk may be short).
 [[nodiscard]] std::size_t chunk_count(std::size_t count, std::size_t grain) noexcept;
 
-/// Chunked atomic-counter work queue. Splits [0, count) into fixed chunks
-/// — chunk c covers [c*grain, min((c+1)*grain, count)) — and lets up to
-/// `threads` workers claim chunks from a shared counter. Calls
-/// fn(worker, chunk, begin, end); chunk indices are a pure function of
-/// (count, grain), so per-chunk result storage is deterministic no matter
-/// how chunks land on workers. grain == 0 selects default_grain();
-/// threads == 0 means hardware concurrency. With one worker, chunks run
-/// in increasing order on the calling thread.
+/// Chunked work queue. Splits [0, count) into fixed chunks — chunk c
+/// covers [c*grain, min((c+1)*grain, count)) — and runs them on W =
+/// min(threads, chunks) workers, calling fn(worker, chunk, begin, end)
+/// with worker < W. Chunk indices are a pure function of (count, grain),
+/// so per-chunk result storage is deterministic no matter how chunks land
+/// on workers. grain == 0 selects default_grain(); threads == 0 means
+/// hardware concurrency. With one worker, chunks run in increasing order
+/// on the calling thread.
+///
+/// Handout: range r of W owns chunks [ceil(r*C/W), ceil((r+1)*C/W)) of
+/// the C chunks behind its own cache-line-padded counter. Worker w drains
+/// range w first (as word2vec splits its training file per thread), then
+/// steals from ranges w+1, w+2, ... mod W, so concurrent workers start far
+/// apart in the chunk order and share no counter until they steal.
 void parallel_for_dynamic(
     std::size_t threads, std::size_t count, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t, std::size_t, std::size_t)>& fn);
-
-/// Home-range handout policy for the overload below. Chunk indices are
-/// split into `ranges` contiguous home ranges (range r owns
-/// [ceil(r*chunks/ranges), ceil((r+1)*chunks/ranges))); worker w's home is
-/// range w*ranges/workers, which it drains first, stealing from the other
-/// ranges only once its own is empty. k-means uses one range per NUMA node
-/// (numa::schedule()), the trainer one per worker (numa::worker_schedule()).
-/// Purely a locality policy: every chunk still runs exactly once with the
-/// same (chunk, begin, end) as the default single-queue handout, so callers
-/// with per-chunk result storage get bit-identical output.
-struct NumaSchedule {
-  /// Home-range count; <= 1 falls back to the single-queue handout.
-  std::size_t ranges = 1;
-  /// Called once on each worker thread, before it claims any chunk, with
-  /// (worker index, home range); used to pin the thread near its range's
-  /// memory. May be empty.
-  std::function<void(std::size_t, std::size_t)> bind_worker;
-};
-
-/// parallel_for_dynamic with per-range chunk queues (see NumaSchedule).
-/// Identical chunk geometry and per-chunk arguments as the single-queue
-/// overload; only the order in which workers claim chunks changes.
-void parallel_for_dynamic(
-    std::size_t threads, std::size_t count, std::size_t grain,
-    const NumaSchedule& schedule,
     const std::function<void(std::size_t, std::size_t, std::size_t, std::size_t)>& fn);
 
 }  // namespace v2v

@@ -11,7 +11,6 @@
 
 #include "v2v/common/aligned.hpp"
 #include "v2v/common/kernels.hpp"
-#include "v2v/common/numa.hpp"
 #include "v2v/common/rng.hpp"
 #include "v2v/common/thread_pool.hpp"
 #include "v2v/common/timer.hpp"
@@ -244,20 +243,9 @@ void validate_config(const TrainConfig& config) {
   }
 }
 
-/// NUMA page placement for a freshly constructed (hence all-zero) shared
-/// matrix: stripe its pages across the nodes before values are written,
-/// so Hogwild's random row traffic spreads over every node's memory
-/// controllers instead of hammering the allocating thread's node. Values
-/// are untouched (zeroes stay zeroes) — results are bit-identical.
-void place_shared_matrix(MatrixF& m) {
-  numa::first_touch_stripes(m.data(), m.rows() * m.stride() * sizeof(float),
-                            numa::system_topology());
-}
-
 void initialize_vectors(TrainerState& state, std::size_t vocab_size) {
   Rng init_rng(state.config.seed);
   state.syn0 = MatrixF(vocab_size, state.config.dimensions);
-  place_shared_matrix(state.syn0);
   const float inv_dims = 1.0f / static_cast<float>(state.config.dimensions);
   for (std::size_t v = 0; v < vocab_size; ++v) {
     auto row = state.syn0.row(v);
@@ -276,10 +264,8 @@ std::unique_ptr<HuffmanTree> initialize_objective(
     huffman = std::make_unique<HuffmanTree>(frequencies);
     state.huffman = huffman.get();
     state.syn1 = MatrixF(huffman->inner_count(), state.config.dimensions);
-    place_shared_matrix(state.syn1);
   } else {
     state.syn1 = MatrixF(frequencies.size(), state.config.dimensions);
-    place_shared_matrix(state.syn1);
     std::vector<double> noise_weights(frequencies.size());
     for (std::size_t v = 0; v < frequencies.size(); ++v) {
       noise_weights[v] =
@@ -400,7 +386,7 @@ TrainResult run_training(TrainerState& state,
 /// the cold-start and warm-start entry points, for RAM-resident and
 /// spooled corpora alike — the chunk geometry is a pure function of
 /// walk_count, so the two backings train bit-identically. Each worker
-/// owns a contiguous home range of chunks (numa::worker_schedule) and
+/// owns a contiguous home range of chunks (parallel_for_dynamic) and
 /// steals only once it is drained: on a start-vertex-ordered corpus the
 /// workers then train different communities at once instead of sharing
 /// one community's output rows. Claiming order changes, results do not.
@@ -414,12 +400,11 @@ TrainResult run_corpus_training(TrainerState& state,
   state.grain = grain;
   state.chunks = chunks;
   const Rng root(config.seed ^ 0xd1b54a32d192ed03ULL);
-  const NumaSchedule schedule = numa::worker_schedule(threads);
 
   return run_training(state, [&](std::size_t epoch) {
     std::vector<EpochShard> shards(chunks);
     parallel_for_dynamic(
-        threads, corpus.walk_count(), grain, schedule,
+        threads, corpus.walk_count(), grain,
         [&](std::size_t /*worker*/, std::size_t chunk, std::size_t begin,
             std::size_t end) {
           // Kick off readahead for the whole chunk before the SGD loop
@@ -514,7 +499,6 @@ TrainResult train_embedding_resume(const walk::CorpusReader& corpus,
   // refreshes it took to reach this vocabulary.
   const std::size_t d = config.dimensions;
   state.syn0 = MatrixF(vocab_size, d);
-  place_shared_matrix(state.syn0);
   for (std::size_t v = 0; v < warm_start.vertex_count(); ++v) {
     const auto src = warm_start.vector(v);
     auto dst = state.syn0.row(v);
@@ -555,7 +539,6 @@ TrainResult train_embedding_resume(const walk::CorpusReader& corpus,
     // convention for fresh output vectors). The noise distribution is
     // recomputed from the NEW corpus so sampling tracks current structure.
     state.syn1 = MatrixF(vocab_size, d);
-    place_shared_matrix(state.syn1);
     for (std::size_t v = 0; v < checkpoint.syn1.rows(); ++v) {
       const auto src = checkpoint.syn1.row(v);
       auto dst = state.syn1.row(v);
@@ -622,12 +605,11 @@ TrainResult train_embedding_streaming(const graph::Graph& g,
   state.chunks = chunks;
   const Rng root(config.seed ^ 0xd1b54a32d192ed03ULL);
   const Rng walk_root(config.seed ^ 0x94d049bb133111ebULL);
-  const NumaSchedule schedule = numa::worker_schedule(threads);
 
   TrainResult result = run_training(state, [&](std::size_t epoch) {
     std::vector<EpochShard> shards(chunks);
     parallel_for_dynamic(
-        threads, vocab_size, grain, schedule,
+        threads, vocab_size, grain,
         [&](std::size_t /*worker*/, std::size_t chunk, std::size_t begin,
             std::size_t end) {
           SentenceTrainer trainer(state, root.fork(epoch * chunks + chunk));

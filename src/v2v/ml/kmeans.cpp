@@ -11,7 +11,6 @@
 
 #include "v2v/common/check.hpp"
 #include "v2v/common/kernels.hpp"
-#include "v2v/common/numa.hpp"
 #include "v2v/common/rng.hpp"
 #include "v2v/common/thread_pool.hpp"
 #include "v2v/obs/metrics.hpp"
@@ -225,11 +224,6 @@ LloydOutcome lloyd(const MatrixF& points, MatrixD centroids,
   out.assignment.assign(n, 0);
   std::vector<std::uint32_t>& assign = out.assignment;
 
-  // Node-preferring handout for the point sweeps: every chunk writes only
-  // its own slice, so claiming order — the only thing the schedule
-  // changes — cannot affect the result. No-op on single-node hosts.
-  const NumaSchedule numa_schedule = numa::schedule();
-
   // Exact computed sqdist from each point to its assigned centroid this
   // iteration; feeds the SSE, the Hamerly upper bound, and the
   // empty-cluster reseed (no rescan needed).
@@ -237,7 +231,7 @@ LloydOutcome lloyd(const MatrixF& points, MatrixD centroids,
   std::vector<double> x2;
   if (cached) {
     x2.resize(n);
-    parallel_for_dynamic(threads, n, kAssignGrain, numa_schedule,
+    parallel_for_dynamic(threads, n, kAssignGrain,
                          [&](std::size_t, std::size_t, std::size_t b, std::size_t e) {
                            for (std::size_t p = b; p < e; ++p) {
                              const float* px = points.row(p).data();
@@ -306,7 +300,7 @@ LloydOutcome lloyd(const MatrixF& points, MatrixD centroids,
     // best_sq/lower and its own chunk_* slot, so scheduling never affects
     // the result.
     parallel_for_dynamic(
-        threads, n, kAssignGrain, numa_schedule,
+        threads, n, kAssignGrain,
         [&](std::size_t worker, std::size_t chunk, std::size_t b, std::size_t e) {
           double sse = 0.0;
           std::uint64_t evals = 0;
@@ -643,11 +637,8 @@ std::vector<std::uint32_t> assign_to_centroids(const MatrixF& points,
   const std::size_t workers = std::max<std::size_t>(1, threads);
   std::vector<std::uint32_t> result(n, 0);
   if (n == 0) return result;
-  // Same per-chunk-slice argument as lloyd(): the node-preferring queue
-  // only reorders claiming, results stay bit-identical.
-  const NumaSchedule numa_schedule = numa::schedule();
   if (assign == KMeansAssign::kNaive) {
-    parallel_for_dynamic(workers, n, kAssignGrain, numa_schedule,
+    parallel_for_dynamic(workers, n, kAssignGrain,
                          [&](std::size_t, std::size_t, std::size_t b, std::size_t e) {
                            for (std::size_t p = b; p < e; ++p) {
                              result[p] = scan_exact(points, p, centroids).best_c;
@@ -656,7 +647,7 @@ std::vector<std::uint32_t> assign_to_centroids(const MatrixF& points,
     return result;
   }
   std::vector<double> x2(n);
-  parallel_for_dynamic(workers, n, kAssignGrain, numa_schedule,
+  parallel_for_dynamic(workers, n, kAssignGrain,
                        [&](std::size_t, std::size_t, std::size_t b, std::size_t e) {
                          for (std::size_t p = b; p < e; ++p) {
                            const float* px = points.row(p).data();
@@ -670,7 +661,7 @@ std::vector<std::uint32_t> assign_to_centroids(const MatrixF& points,
     c2max = std::max(c2max, c2[c]);
   }
   parallel_for_dynamic(
-      workers, n, kAssignGrain, numa_schedule,
+      workers, n, kAssignGrain,
       [&](std::size_t, std::size_t, std::size_t b, std::size_t e) {
         std::uint32_t tile[kPointTile];
         std::uint32_t tc[kPointTile];

@@ -1,7 +1,7 @@
 // Out-of-core corpus spool: walk generation streamed to disk segments,
 // training served straight out of the mapped files.
 //
-// Motivation (ROADMAP "out-of-core + NUMA pipeline"): at paper scale
+// Motivation (ROADMAP "out-of-core pipeline"): at paper scale
 // (t = 1000 walks of ℓ = 1000 steps per vertex) the corpus is ~4 TB per
 // million vertices — it cannot be RAM-resident. The spool keeps walk
 // generation's peak RSS at O(workers * spool_buffer_mb) and lets the

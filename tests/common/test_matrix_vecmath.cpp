@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 
 #include "v2v/common/matrix.hpp"
 #include "v2v/common/vec_math.hpp"
@@ -66,6 +67,17 @@ TEST(Matrix, EqualityAndDefault) {
   MatrixF d;
   EXPECT_TRUE(d.empty());
   EXPECT_EQ(d.rows(), 0u);
+}
+
+TEST(Matrix, OverflowingSizeThrowsLengthError) {
+  // rows * stride wraps to 0 (16 * 2^60 == 2^64).
+  EXPECT_THROW(MatrixF(16, std::size_t{1} << 60), std::length_error);
+  // Rounding SIZE_MAX columns up to a whole cache line wraps.
+  EXPECT_THROW(MatrixF(1, SIZE_MAX), std::length_error);
+  // 2^61 rows of one 8-double line wrap as well.
+  EXPECT_THROW(MatrixD(std::size_t{1} << 61, 8), std::length_error);
+  // Zero rows of a huge (non-wrapping) stride allocate nothing.
+  EXPECT_TRUE(MatrixF(0, std::size_t{1} << 60).empty());
 }
 
 TEST(VecMath, DotAndNorm) {

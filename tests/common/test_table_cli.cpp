@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "v2v/common/cli.hpp"
 #include "v2v/common/table.hpp"
@@ -132,6 +135,38 @@ TEST(Cli, UnknownFlagsEmptyWhenAllKnown) {
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0], "k");  // map order: sorted by name
   EXPECT_EQ(all[1], "port");
+}
+
+TEST(Cli, GetSizeRangeChecks) {
+  const auto args = make_args({"prog", "--neg=-1", "--over=65536", "--abc=abc",
+                               "--zero=0", "--max=65535", "--big=18446744073709551615",
+                               "--wrap=18446744073709551616", "--empty="});
+  EXPECT_EQ(args.get_size("absent", 7), 7u);
+  EXPECT_EQ(args.get_size("zero", 7, 65535), 0u);
+  EXPECT_EQ(args.get_size("max", 0, 65535), 65535u);
+  EXPECT_EQ(args.get_size("big", 0), SIZE_MAX);
+  for (const char* flag : {"neg", "over", "abc", "empty"}) {
+    EXPECT_THROW((void)args.get_size(flag, 0, 65535), std::invalid_argument) << flag;
+  }
+  EXPECT_THROW((void)args.get_size("neg", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_size("wrap", 0), std::invalid_argument);
+  try {
+    (void)args.get_size("over", 0, 65535);
+    ADD_FAILURE() << "--over=65536 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "--over expects an integer in [0, 65535], got '65536'");
+  }
+}
+
+TEST(Cli, CheckFlagsPrintsEachUnknownFlag) {
+  const auto args = make_args({"prog", "serve", "--nprob=4", "--k=3", "--prot=80"});
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(args.check_flags({"nprobe", "k", "port"}));
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "error: unknown flag --nprob\nerror: unknown flag --prot\n");
+  ::testing::internal::CaptureStderr();
+  EXPECT_TRUE(args.check_flags({"nprob", "k", "prot"}));
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <numeric>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -111,6 +114,56 @@ TEST(ParallelForDynamic, CoversRangeExactlyOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(ParallelForDynamic, PerChunkDigestMatchesOneWorker) {
+  // Workers claim chunks in a different order at every thread count, but
+  // each chunk must see the same (chunk, begin, end): the basis of the
+  // pipeline's bit-identical results across thread counts.
+  const std::size_t count = 517, grain = 13;
+  const auto digest = [&](std::size_t threads) {
+    std::vector<std::uint64_t> out(chunk_count(count, grain), 0);
+    parallel_for_dynamic(
+        threads, count, grain,
+        [&](std::size_t, std::size_t chunk, std::size_t begin, std::size_t end) {
+          std::uint64_t h = 1469598103934665603ULL;
+          for (std::size_t i = begin; i < end; ++i) h = (h ^ i) * 1099511628211ULL;
+          out[chunk] = h ^ (begin << 20) ^ end;
+        });
+    return out;
+  };
+  const auto serial = digest(1);
+  for (const std::size_t threads : {2u, 4u, 7u}) {
+    EXPECT_EQ(digest(threads), serial) << threads << " threads";
+  }
+}
+
+TEST(ParallelForDynamic, EachWorkerStartsAtItsHomeRange) {
+  // Range r of W owns chunks [ceil(r*C/W), ceil((r+1)*C/W)). Every worker
+  // holds its first chunk until all W workers hold one, so none can drain
+  // its range and steal early: worker w's first chunk is then the first
+  // chunk of range w.
+  const std::size_t count = 1003, grain = 17, threads = 4;
+  const std::size_t chunks = chunk_count(count, grain);
+  std::vector<std::size_t> first(threads, chunks);
+  std::atomic<std::size_t> arrived{0};
+  // The deadline turns a handout that starves a worker into a failure
+  // below instead of a hang.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  parallel_for_dynamic(threads, count, grain,
+                       [&](std::size_t worker, std::size_t chunk, std::size_t,
+                           std::size_t) {
+                         if (first[worker] != chunks) return;
+                         first[worker] = chunk;
+                         arrived.fetch_add(1);
+                         while (arrived.load() < threads &&
+                                std::chrono::steady_clock::now() < deadline) {
+                           std::this_thread::yield();
+                         }
+                       });
+  for (std::size_t w = 0; w < threads; ++w) {
+    EXPECT_EQ(first[w], (w * chunks + threads - 1) / threads) << "worker " << w;
+  }
+}
+
 TEST(ParallelForDynamic, ChunkIndexDeterminesRange) {
   // Chunk boundaries must be a pure function of (count, grain), whatever
   // worker picks the chunk up.
@@ -162,10 +215,56 @@ TEST(ParallelForDynamic, GrainHelpers) {
   EXPECT_EQ(default_grain(0, 4), 1u);
   EXPECT_EQ(default_grain(6400, 4), 100u);
   EXPECT_GE(default_grain(10, 0), 1u);
+  EXPECT_EQ(default_grain(6400, std::size_t{1} << 60), 1u);  // threads * 16 wraps to 0
   EXPECT_EQ(chunk_count(0, 5), 0u);
   EXPECT_EQ(chunk_count(10, 5), 2u);
   EXPECT_EQ(chunk_count(11, 5), 3u);
   EXPECT_EQ(chunk_count(7, 0), 7u);  // grain 0 treated as 1
+}
+
+// The ParallelForNuma suite is named for the per-node range schedule it
+// was written against; that one-range-per-worker handout is now
+// parallel_for_dynamic's only one.
+TEST(ParallelForNuma, CoversEveryChunkExactlyOnce) {
+  // 1,003 items at grain 17 make 59 chunks, which no worker count here
+  // divides, so the home ranges are ragged.
+  const std::size_t count = 1003, grain = 17;
+  const std::size_t chunks = chunk_count(count, grain);
+  for (const std::size_t threads : {1u, 2u, 3u, 4u, 7u}) {
+    std::vector<std::atomic<int>> hits(chunks);
+    parallel_for_dynamic(
+        threads, count, grain,
+        [&](std::size_t worker, std::size_t chunk, std::size_t begin, std::size_t end) {
+          EXPECT_LT(worker, threads);
+          EXPECT_EQ(begin, chunk * grain);
+          EXPECT_EQ(end, std::min(count, (chunk + 1) * grain));
+          hits[chunk].fetch_add(1, std::memory_order_relaxed);
+        });
+    for (std::size_t c = 0; c < chunks; ++c) {
+      ASSERT_EQ(hits[c].load(), 1) << threads << " threads, chunk " << c;
+    }
+  }
+}
+
+TEST(ParallelForNuma, MoreNodesThanChunksStillCovers) {
+  // 2 chunks for 16 threads: only two workers may run, one per range.
+  std::vector<std::atomic<int>> hits(2);
+  parallel_for_dynamic(16, 20, 10,
+                       [&](std::size_t worker, std::size_t chunk, std::size_t,
+                           std::size_t) {
+                         EXPECT_LT(worker, 2u);
+                         hits[chunk].fetch_add(1, std::memory_order_relaxed);
+                       });
+  EXPECT_EQ(hits[0].load(), 1);
+  EXPECT_EQ(hits[1].load(), 1);
+}
+
+TEST(ParallelForNuma, ZeroCountRunsNothing) {
+  bool ran = false;
+  parallel_for_dynamic(16, 0, 8,
+                       [&](std::size_t, std::size_t, std::size_t,
+                           std::size_t) { ran = true; });
+  EXPECT_FALSE(ran);
 }
 
 }  // namespace

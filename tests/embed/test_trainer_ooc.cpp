@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -139,31 +138,6 @@ TEST(TrainerOoc, ResumeFromSpoolMatchesRamResume) {
 
   ASSERT_EQ(resumed_spool.stats.epoch_loss, resumed_ram.stats.epoch_loss);
   expect_same_embedding(resumed_ram.embedding, resumed_spool.embedding);
-}
-
-TEST(TrainerOoc, NumaFakeNodesKeepSingleThreadParity) {
-  // With a synthetic multi-node topology forced on, the trainer builds a
-  // node-preferring schedule; at any worker count the per-chunk work is
-  // unchanged, and at one worker the whole run must stay bit-identical.
-  ::setenv("V2V_NUMA_FAKE_NODES", "3", 1);
-  const graph::Graph g = graph::make_ring(40);
-  const std::string dir = temp_spool_dir();
-  walk::WalkConfig walk_config = ring_walks(dir);
-  const walk::Corpus ram = walk::generate_corpus(g, walk_config, 3);
-  (void)walk::generate_corpus_spooled(g, walk_config, 3);
-  const walk::SpooledCorpus spooled = walk::SpooledCorpus::open(dir);
-
-  TrainConfig config;
-  config.dimensions = 8;
-  config.epochs = 2;
-  config.seed = 11;
-  const auto from_ram = train_embedding(ram, g.vertex_count(), config);
-  const auto from_spool = train_embedding(spooled, g.vertex_count(), config);
-  ::unsetenv("V2V_NUMA_FAKE_NODES");
-  fs::remove_all(dir);
-
-  ASSERT_EQ(from_spool.stats.epoch_loss, from_ram.stats.epoch_loss);
-  expect_same_embedding(from_ram.embedding, from_spool.embedding);
 }
 
 TEST(OocStress, ParallelSpoolGenerationIsDeterministic) {
