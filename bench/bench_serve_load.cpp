@@ -1,9 +1,11 @@
 // Load generator for the serving layer, plus the committed serve baseline
 // (BENCH_serve_load.json): open-loop QPS sweep against a live Server over
 // the binary protocol, recording p50/p95/p99 latency, achieved QPS, and
-// rejection/timeout counts per sweep point, then a parity pass (server
-// responses vs direct QueryEngine, bit-identical distances) and a
-// shutdown burst proving zero admitted requests are dropped.
+// rejection/timeout counts per sweep point, then a one-connection closed
+// loop that splits a lone request's latency into engine time and what
+// dispatch adds, a parity pass (server responses vs direct QueryEngine,
+// bit-identical distances) and a shutdown burst proving zero admitted
+// requests are dropped.
 //
 // Open-loop means arrivals follow a fixed schedule (request i fires at
 // start + i/qps) regardless of how fast responses come back, so queueing
@@ -203,11 +205,55 @@ std::uint64_t parity_mismatches(const std::string& host, std::uint16_t port,
   return mismatches;
 }
 
+/// p50s of one closed loop: served round trip vs direct engine time.
+struct ClosedLoopResult {
+  double served_p50_us = 0.0;
+  double engine_p50_us = 0.0;
+  std::uint64_t answered = 0;  ///< kOk/kTimeout responses
+};
+
+/// One connection, `count` sequential queries: each goes out when the
+/// previous answer is back, and the same row is then searched directly on
+/// the engine, so both p50s see the same rows and cache state. Their gap
+/// is what the socket, the admission queue and the thread handoffs add to
+/// a lone request.
+ClosedLoopResult run_closed_loop(const std::string& host, std::uint16_t port,
+                                 const index::QueryEngine& engine,
+                                 const MatrixF& queries, std::size_t count,
+                                 std::size_t k, std::uint32_t deadline_ms) {
+  auto client = serve::Client::connect(host, port);
+  std::vector<double> served_us, engine_us;
+  served_us.reserve(count);
+  engine_us.reserve(count);
+  ClosedLoopResult result;
+  for (std::size_t q = 0; q < count; ++q) {
+    const auto row = queries.row(q % queries.rows());
+    const WallTimer served;
+    const auto response = client.query(row, k, deadline_ms);
+    served_us.push_back(served.seconds() * 1e6);
+    if (response.status == serve::RequestStatus::kOk ||
+        response.status == serve::RequestStatus::kTimeout) {
+      ++result.answered;
+    }
+    const WallTimer direct;
+    const auto answer = engine.query(row, k);
+    engine_us.push_back(direct.seconds() * 1e6);
+    benchmark::DoNotOptimize(answer.data());
+  }
+  std::sort(served_us.begin(), served_us.end());
+  std::sort(engine_us.begin(), engine_us.end());
+  result.served_p50_us = percentile(served_us, 0.50);
+  result.engine_p50_us = percentile(engine_us, 0.50);
+  return result;
+}
+
 /// The committed serve baseline: FlatIndex over n x 64 clustered vectors
-/// behind a Server, swept at three open-loop QPS targets, then the parity
-/// pass and a shutdown burst. The headline gates (CI smoke):
+/// behind a Server, swept at three open-loop QPS targets, then the closed
+/// loop, the parity pass and a shutdown burst. The headline gates (CI
+/// smoke):
 ///   serve_bench.parity == 1, serve_bench.dropped == 0,
-///   serve_bench.p99_us (lowest sweep point) under the lane bound.
+///   serve_bench.p99_us (lowest sweep point) under the lane bound,
+///   serve_bench.dispatch_overhead_p50_us under 200 (no timed batch wait).
 void write_serve_baseline() {
   constexpr std::size_t kDims = 64;
   constexpr std::size_t kTopK = 10;
@@ -286,6 +332,19 @@ void write_serve_baseline() {
   }
   baseline.gauge("serve_bench.p99_us").set(headline_p99);
 
+  constexpr std::size_t kClosedLoopQueries = 2000;
+  const ClosedLoopResult loop = run_closed_loop(
+      host, port, engine, queries, kClosedLoopQueries, kTopK, kDeadlineMs);
+  answered += loop.answered;
+  const double overhead_us = loop.served_p50_us - loop.engine_p50_us;
+  baseline.gauge("serve_bench.closed_loop_p50_us").set(loop.served_p50_us);
+  baseline.gauge("serve_bench.engine_p50_us").set(loop.engine_p50_us);
+  baseline.gauge("serve_bench.dispatch_overhead_p50_us").set(overhead_us);
+  std::printf(
+      "closed loop: %zu queries, p50 served %.0fus, engine %.0fus, "
+      "dispatch overhead %.0fus\n",
+      kClosedLoopQueries, loop.served_p50_us, loop.engine_p50_us, overhead_us);
+
   std::uint64_t parity_answered = 0;
   const std::uint64_t mismatches = parity_mismatches(
       host, port, engine, queries, 256, kTopK, &parity_answered);
@@ -352,9 +411,7 @@ void BM_ClientRoundTrip(benchmark::State& state) {
   const index::FlatIndex flat(store::EmbeddingView::of(points),
                               index::DistanceMetric::kEuclidean);
   const index::QueryEngine engine(flat, {.threads = 1, .metrics = nullptr});
-  serve::ServerConfig config;
-  config.batch.max_linger = std::chrono::microseconds(0);
-  serve::Server server(engine, config);
+  serve::Server server(engine);
   auto client = serve::Client::connect(server.host(), server.port());
   std::size_t i = 0;
   for (auto _ : state) {

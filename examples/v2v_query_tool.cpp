@@ -210,11 +210,9 @@ serve::BatchQueueConfig batch_config_from(const CliArgs& args,
                                           obs::MetricsRegistry& metrics) {
   serve::BatchQueueConfig config;
   config.max_batch = args.get_size("batch", 64);
-  // Durations are capped at 2^32 - 1 units, the range of the wire
-  // protocol's per-request deadline_ms.
-  config.max_linger = std::chrono::microseconds(
-      args.get_size("linger-us", 200, std::numeric_limits<std::uint32_t>::max()));
   config.queue_capacity = args.get_size("queue", 4096);
+  // Capped at 2^32 - 1, the range of the wire protocol's per-request
+  // deadline_ms.
   config.default_deadline = std::chrono::milliseconds(
       args.get_size("deadline-ms", 1000, std::numeric_limits<std::uint32_t>::max()));
   config.metrics = &metrics;
@@ -468,8 +466,9 @@ void usage() {
       "  --port=P             listen on P (0 = ephemeral); omit for offline\n"
       "                       stdin/--queries mode\n"
       "  --host=H             bind address (default 127.0.0.1)\n"
-      "  --batch=N            max requests coalesced per engine batch (64)\n"
-      "  --linger-us=N        max wait to fill a batch, microseconds (200)\n"
+      "  --batch=N            max requests coalesced per engine batch, >= 1\n"
+      "                       (64); a batch is whatever queued while the\n"
+      "                       engine was busy, never a timed wait\n"
       "  --queue=N            admission queue bound; beyond it requests are\n"
       "                       rejected with overloaded + Retry-After (4096)\n"
       "  --deadline-ms=N      default per-request deadline; 0 disables (1000)\n"
@@ -507,8 +506,7 @@ int main(int argc, char** argv) {
     if (command == "serve" && pos.size() >= 2) {
       return run({"index", "metric", "k", "nlist", "nprobe", "rerank", "threads",
                   "build-threads", "queries", "no-mmap", "metrics-out", "port",
-                  "host", "batch", "linger-us", "queue", "deadline-ms",
-                  "max-conns"},
+                  "host", "batch", "queue", "deadline-ms", "max-conns"},
                  cmd_serve);
     }
     usage();

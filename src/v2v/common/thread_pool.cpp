@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <memory>
 
 #include "v2v/common/aligned.hpp"
@@ -30,7 +31,7 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::submit(std::function<void()> task) {
   {
     LockGuard lock(mutex_);
-    tasks_.push(std::move(task));
+    tasks_.push({std::move(task), nullptr});
     ++in_flight_;
   }
   task_ready_.notify_one();
@@ -48,19 +49,47 @@ void ThreadPool::parallel_for(
   const std::size_t chunks = std::min(count, size());
   const std::size_t base = count / chunks;
   const std::size_t extra = count % chunks;
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t len = base + (c < extra ? 1 : 0);
-    const std::size_t end = begin + len;
-    submit([&fn, c, begin, end] { fn(c, begin, end); });
-    begin = end;
+  // The first `extra` chunks carry one item more than the rest.
+  const auto chunk_begin = [base, extra](std::size_t c) {
+    return c * base + std::min(c, extra);
+  };
+  if (chunks == 1) {
+    fn(0, 0, count);
+    return;
   }
-  wait_idle();
+
+  // Written by workers under mutex_; the call returns only once it reads 0.
+  std::size_t open_chunks = chunks - 1;
+  {
+    const LockGuard lock(mutex_);
+    for (std::size_t c = 1; c < chunks; ++c) {
+      tasks_.push({[&fn, c, begin = chunk_begin(c), end = chunk_begin(c + 1)] {
+                     fn(c, begin, end);
+                   },
+                   &open_chunks});
+      ++in_flight_;
+    }
+  }
+  for (std::size_t c = 1; c < chunks; ++c) task_ready_.notify_one();
+
+  // Queued chunks reference fn and open_chunks on this frame, so a throw
+  // from chunk 0 must wait for them before unwinding.
+  std::exception_ptr error;
+  try {
+    fn(0, 0, chunk_begin(1));
+  } catch (...) {
+    error = std::current_exception();
+  }
+  {
+    UniqueLock lock(mutex_);
+    while (open_chunks != 0) chunk_done_.wait(lock);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    std::function<void()> task;
+    Task task;
     {
       UniqueLock lock(mutex_);
       while (!stopping_ && tasks_.empty()) task_ready_.wait(lock);
@@ -68,9 +97,12 @@ void ThreadPool::worker_loop() {
       task = std::move(tasks_.front());
       tasks_.pop();
     }
-    task();
+    task.run();
     {
       LockGuard lock(mutex_);
+      if (task.open_chunks != nullptr && --*task.open_chunks == 0) {
+        chunk_done_.notify_all();
+      }
       if (--in_flight_ == 0) idle_.notify_all();
     }
   }

@@ -1,4 +1,5 @@
-// Minimal work-sharing thread pool with a blocking parallel_for, plus a
+// Minimal work-sharing thread pool with a blocking parallel_for (the
+// caller runs chunk 0 itself and waits only for its own chunks), plus a
 // chunked work queue (`parallel_for_dynamic`) used by corpus generation,
 // Hogwild SGD, k-means and the index builds. Static block partitioning
 // (`parallel_for_once`) serializes a whole block behind its slowest items;
@@ -38,20 +39,34 @@ class ThreadPool {
   void wait_idle() V2V_EXCLUDES(mutex_);
 
   /// Runs fn(chunk_index, begin, end) over [0, count) split into
-  /// size() contiguous chunks, blocking until every chunk is done.
-  /// fn must be safe to call concurrently from distinct threads.
+  /// min(count, size()) contiguous chunks, blocking until every chunk is
+  /// done. Chunk 0 runs on the calling thread and the rest on workers, so
+  /// a one-chunk call never leaves the caller. The call waits for its own
+  /// chunks only, never for unrelated submit()ted tasks or concurrent
+  /// parallel_for calls. fn must be safe to call concurrently from
+  /// distinct threads; if chunk 0 throws, the exception is rethrown after
+  /// the other chunks finish.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn)
       V2V_EXCLUDES(mutex_);
 
  private:
+  /// A queued unit of work. `open_chunks` is the owning parallel_for's
+  /// count of unfinished worker chunks (null for submit()); workers
+  /// decrement it under mutex_.
+  struct Task {
+    std::function<void()> run;
+    std::size_t* open_chunks = nullptr;
+  };
+
   void worker_loop() V2V_EXCLUDES(mutex_);
 
   std::vector<std::thread> workers_;
   Mutex mutex_{"common.thread_pool", lock_rank::kThreadPool};
   CondVar task_ready_;
-  CondVar idle_;
-  std::queue<std::function<void()>> tasks_ V2V_GUARDED_BY(mutex_);
+  CondVar idle_;        ///< in_flight_ reached 0
+  CondVar chunk_done_;  ///< some parallel_for's open_chunks reached 0
+  std::queue<Task> tasks_ V2V_GUARDED_BY(mutex_);
   std::size_t in_flight_ V2V_GUARDED_BY(mutex_) = 0;
   bool stopping_ V2V_GUARDED_BY(mutex_) = false;
 };

@@ -2,11 +2,12 @@
 //
 // A QueryEngine owns the serving policy — single queries run inline on the
 // caller's thread; batches fan out over an internal thread pool when
-// `threads > 1` — and the serving telemetry: every query bumps the
-// `query.queries` counter and records wall latency into the
-// `query.latency_us` histogram (p50/p99 readable from the snapshot), and
-// `observe_recall` publishes a recall-vs-oracle gauge when ground truth
-// from a FlatIndex is supplied.
+// `threads > 1`, the caller running the first chunk itself so a one-row
+// batch never leaves the calling thread — and the serving telemetry:
+// every query bumps the `query.queries` counter and records wall latency
+// into the `query.latency_us` histogram (p50/p99 readable from the
+// snapshot), and `observe_recall` publishes a recall-vs-oracle gauge when
+// ground truth from a FlatIndex is supplied.
 //
 // Batch semantics (what serve/'s batching admission queue builds on):
 //   - Each row of a batch is searched independently — query_batch(Q, k)[i]
@@ -20,9 +21,9 @@
 //     top-k list ARE the top-k' answer (k' <= k). Callers may therefore
 //     over-ask and truncate (serve::BatchQueue batches at the largest
 //     per-request k this way).
-//   - A batch call blocks until every row is answered; there is no
-//     per-row cancellation. Deadline policy lives a layer up, in
-//     serve::BatchQueue.
+//   - A batch call blocks until its own rows are answered, never for a
+//     concurrent batch or warmup() sharing the pool. There is no per-row
+//     cancellation; deadline policy lives a layer up, in serve::BatchQueue.
 //
 // Thread-safety: all query methods are const and safe to call
 // concurrently (VectorIndex::search_into is required to be), including
@@ -81,7 +82,8 @@ class QueryEngine {
   void query_into(std::span<const float> q, std::size_t k,
                   std::vector<Neighbor>& out) const;
 
-  /// Top-k for every row of `queries`, fanned out over the pool.
+  /// Top-k for every row of `queries`, fanned out over the pool (the
+  /// calling thread runs the first chunk).
   [[nodiscard]] std::vector<std::vector<Neighbor>> query_batch(
       const MatrixF& queries, std::size_t k) const;
   /// Same over selected rows of a larger matrix (crossval's access shape).

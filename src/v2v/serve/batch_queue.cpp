@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 #include "v2v/common/matrix.hpp"
@@ -20,6 +21,9 @@ BatchQueue::BatchQueue(const index::QueryEngine& engine, BatchQueueConfig config
     : engine_(engine),
       config_(config),
       dims_(engine.index().dimensions()) {
+  if (config_.max_batch == 0) {
+    throw std::invalid_argument("serve::BatchQueue: max_batch must be at least 1");
+  }
   if (config_.metrics != nullptr) {
     obs::MetricsRegistry& m = *config_.metrics;
     requests_ = &m.counter("serve.requests");
@@ -31,8 +35,8 @@ BatchQueue::BatchQueue(const index::QueryEngine& engine, BatchQueueConfig config
     drained_ = &m.counter("serve.drained_on_shutdown");
     batch_occupancy_ = &m.histogram(
         "serve.batch_occupancy",
-        {0.0, static_cast<double>(std::max<std::size_t>(1, config_.max_batch)),
-         std::max<std::size_t>(1, std::min<std::size_t>(config_.max_batch, 128))});
+        {0.0, static_cast<double>(config_.max_batch),
+         std::min<std::size_t>(config_.max_batch, 128)});
     queue_depth_ = &m.histogram(
         "serve.queue_depth",
         {0.0,
@@ -124,17 +128,7 @@ void BatchQueue::dispatcher_loop() {
       while (!stopping_ && queue_.empty()) cv_.wait(lock);
       if (queue_.empty()) return;  // stopping_ and fully drained
       draining = stopping_;
-      // Linger: give concurrent submitters a short window to fill the
-      // batch. Skipped when already full, when draining (latency no
-      // longer matters, finish fast), and when linger is disabled.
-      if (!draining && config_.max_linger.count() > 0 &&
-          queue_.size() < config_.max_batch) {
-        const auto until = std::chrono::steady_clock::now() + config_.max_linger;
-        while (!stopping_ && queue_.size() < config_.max_batch) {
-          if (cv_.wait_until(lock, until) == std::cv_status::timeout) break;
-        }
-        draining = stopping_;
-      }
+      // Work-conserving: take what queued while the last batch ran.
       const std::size_t take = std::min(queue_.size(), config_.max_batch);
       batch.clear();
       batch.reserve(take);

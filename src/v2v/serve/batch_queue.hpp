@@ -5,10 +5,13 @@
 //
 // Concurrent callers submit() single queries; a dedicated dispatcher
 // thread coalesces whatever is queued into one QueryEngine::query_batch
-// call — up to `max_batch` requests, waiting at most `max_linger` after
-// the first arrival so a lone request is never parked behind an empty
-// batch. Coalescing turns N concurrent socket reads into one fan-out over
-// the engine's pool, which is where the serving throughput comes from.
+// call — up to `max_batch` requests, taken the moment the dispatcher is
+// free. There is no timed wait: a lone request dispatches at once, and
+// under load a batch is whatever queued while the previous batch ran
+// ("smart batching", M. Thompson, Mechanical Sympathy, 2011), so batches
+// grow exactly when the engine is the bottleneck. Coalescing turns N
+// concurrent socket reads into one fan-out over the engine's pool, whose
+// first chunk runs on the dispatcher itself.
 //
 // Contracts the rest of the serving layer relies on:
 //
@@ -75,11 +78,8 @@ class QueryEngine;
 namespace v2v::serve {
 
 struct BatchQueueConfig {
-  /// Most requests coalesced into one engine batch.
+  /// Most requests coalesced into one engine batch; must be >= 1.
   std::size_t max_batch = 64;
-  /// Longest the dispatcher waits after the first queued request for the
-  /// batch to fill; 0 dispatches immediately (no coalescing delay).
-  std::chrono::microseconds max_linger{200};
   /// Pending-request bound; submissions beyond it get kOverloaded.
   std::size_t queue_capacity = 4096;
   /// Deadline applied when a request carries none (deadline_ms == 0).
@@ -98,7 +98,8 @@ struct SubmitResult {
 class BatchQueue {
  public:
   /// The engine (and its index) must outlive the queue. Starts the
-  /// dispatcher thread immediately.
+  /// dispatcher thread immediately. Throws std::invalid_argument when
+  /// config.max_batch is 0.
   explicit BatchQueue(const index::QueryEngine& engine,
                       BatchQueueConfig config = {});
   ~BatchQueue();  ///< shutdown()s if the caller did not

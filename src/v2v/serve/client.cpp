@@ -1,5 +1,6 @@
 #include "v2v/serve/client.hpp"
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -11,6 +12,10 @@ Client Client::connect(const std::string& host, std::uint16_t port) {
 
 QueryResponse Client::query(std::span<const float> query, std::size_t k,
                             std::uint32_t deadline_ms) {
+  // The wire field is u32; narrowing would silently ask for fewer results.
+  if (k > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("serve::Client: k exceeds the u32 wire field");
+  }
   QueryRequest request;
   request.k = static_cast<std::uint32_t>(k);
   request.deadline_ms = deadline_ms;

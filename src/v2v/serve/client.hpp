@@ -30,10 +30,11 @@ class Client {
   Client& operator=(const Client&) = delete;
 
   /// Sends one query and blocks for its response. `deadline_ms` 0 defers
-  /// to the server's default deadline. Throws std::runtime_error when the
-  /// connection drops or the response frame is malformed; server-side
-  /// failures (timeout, overload, bad request) come back as the
-  /// response's status, not exceptions.
+  /// to the server's default deadline. Throws std::invalid_argument, with
+  /// nothing sent, when k does not fit the protocol's u32 field, and
+  /// std::runtime_error when the connection drops or the response frame
+  /// is malformed; server-side failures (timeout, overload, bad request)
+  /// come back as the response's status, not exceptions.
   [[nodiscard]] QueryResponse query(std::span<const float> query, std::size_t k,
                                     std::uint32_t deadline_ms = 0);
 

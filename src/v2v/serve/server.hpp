@@ -2,12 +2,13 @@
 // listening socket, speaks both wire dialects of protocol.hpp (a
 // connection's first bytes pick binary framing or the HTTP/1.1 shim), and
 // funnels every query through a BatchQueue so concurrent connections
-// coalesce into QueryEngine batches.
+// coalesce into QueryEngine batches. A batch is whatever queued while the
+// engine was busy; no request waits for a batch to fill.
 //
 // Threading model: one accept thread plus one thread per live connection
-// (the existing QueryEngine pool does the per-batch fan-out, so
-// connection threads spend their lives blocked on socket reads or on a
-// batch future — cheap). Finished connection threads are reaped on the
+// (the BatchQueue dispatcher runs each batch's first chunk and the
+// QueryEngine pool the rest, so connection threads spend their lives
+// blocked on socket reads or on a batch future — cheap). Finished connection threads are reaped on the
 // accept path; `max_connections` bounds the live set, with excess
 // connections accepted and immediately closed after a kOverloaded
 // response so clients see backpressure, not a SYN backlog stall.
@@ -64,7 +65,7 @@ struct ServerConfig {
   std::size_t max_frame_bytes = std::size_t{1} << 20;
   /// Retry-After hint (milliseconds) attached to kOverloaded responses.
   std::uint32_t retry_after_ms = 50;
-  /// Admission-queue policy (batch size, linger, capacity, deadlines).
+  /// Admission-queue policy (batch size, capacity, deadlines).
   BatchQueueConfig batch;
   /// Sink for the server metrics above and the /stats endpoint; also
   /// copied into batch.metrics when that is null.

@@ -6,7 +6,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -69,6 +71,57 @@ TEST(ThreadPool, ParallelForFewerItemsThanThreads) {
     calls.fetch_add(1);
   });
   EXPECT_EQ(calls.load(), 3);
+}
+
+TEST(ThreadPool, ParallelForRunsChunkZeroOnCaller) {
+  ThreadPool pool(4);
+  for (const std::size_t count : {1u, 3u, 100u}) {
+    std::vector<std::thread::id> ran(std::min<std::size_t>(count, pool.size()));
+    pool.parallel_for(count, [&](std::size_t chunk, std::size_t, std::size_t) {
+      ran[chunk] = std::this_thread::get_id();
+    });
+    EXPECT_EQ(ran[0], std::this_thread::get_id()) << "count " << count;
+    for (std::size_t c = 1; c < ran.size(); ++c) {
+      EXPECT_NE(ran[c], std::this_thread::get_id()) << "chunk " << c;
+    }
+  }
+}
+
+TEST(ThreadPool, ParallelForIgnoresUnrelatedTasks) {
+  ThreadPool pool(4);
+  std::promise<void> release;
+  const std::shared_future<void> gate = release.get_future().share();
+  pool.submit([gate] { gate.wait(); });  // holds one worker until released
+
+  // Three free workers and the caller are plenty for three chunks; the
+  // call must not wait for the gated task.
+  std::atomic<int> chunks{0};
+  auto done = std::async(std::launch::async, [&] {
+    pool.parallel_for(3, [&](std::size_t, std::size_t, std::size_t) {
+      chunks.fetch_add(1);
+    });
+  });
+  const auto status = done.wait_for(std::chrono::seconds(5));
+  release.set_value();
+  done.get();
+  EXPECT_EQ(status, std::future_status::ready);
+  EXPECT_EQ(chunks.load(), 3);
+  pool.wait_idle();
+}
+
+TEST(ThreadPool, ParallelForRethrowsChunkZeroAfterOtherChunks) {
+  ThreadPool pool(3);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(
+      pool.parallel_for(3,
+                        [&](std::size_t chunk, std::size_t, std::size_t) {
+                          if (chunk == 0) throw std::runtime_error("chunk 0");
+                          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                          finished.fetch_add(1);
+                        }),
+      std::runtime_error);
+  // The worker chunks completed before the exception left parallel_for.
+  EXPECT_EQ(finished.load(), 2);
 }
 
 TEST(ThreadPool, WaitIdleWithNoTasksReturnsImmediately) {

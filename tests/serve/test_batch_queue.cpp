@@ -1,10 +1,11 @@
 // BatchQueue contracts: exactness vs direct search (bit-identical),
-// per-request k truncation inside a coalesced batch, deadline expiry in
-// the queue (no engine work), queue-full backpressure, and the
-// shutdown-drains-everything guarantee. The deterministic scheduling
-// tests use GateIndex, a VectorIndex whose search blocks on a gate, so
-// "request is inside the engine" and "requests are parked in the queue"
-// are explicit states instead of sleeps.
+// per-request k truncation inside a coalesced batch, the max_batch >= 1
+// precondition, deadline expiry in the queue (no engine work), queue-full
+// backpressure, and the shutdown-drains-everything guarantee. The
+// deterministic scheduling tests use GateIndex, a VectorIndex whose
+// search blocks on a gate, so "request is inside the engine" and
+// "requests are parked in the queue" are explicit states instead of
+// sleeps.
 #include "v2v/serve/batch_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <cstring>
 #include <limits>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -37,24 +39,31 @@ MatrixF random_points(std::size_t n, std::size_t d, std::uint64_t seed) {
 }
 
 /// Test double: every search blocks until open() and counts its entries.
-/// Results are deterministic fakes (id == rank, distance == rank).
+/// Results are deterministic fakes (id == rank, distance == rank), or the
+/// answers of a wrapped index.
 class GateIndex final : public index::VectorIndex {
  public:
   GateIndex(std::size_t size, std::size_t dims) : size_(size), dims_(dims) {}
+  explicit GateIndex(const index::VectorIndex& inner)
+      : size_(inner.size()), dims_(inner.dimensions()), inner_(&inner) {}
 
   [[nodiscard]] std::size_t size() const noexcept override { return size_; }
   [[nodiscard]] std::size_t dimensions() const noexcept override { return dims_; }
   [[nodiscard]] index::DistanceMetric metric() const noexcept override {
-    return index::DistanceMetric::kEuclidean;
+    return inner_ != nullptr ? inner_->metric() : index::DistanceMetric::kEuclidean;
   }
 
-  void search_into(std::span<const float>, std::size_t k,
+  void search_into(std::span<const float> query, std::size_t k,
                    std::vector<index::Neighbor>& out) const override {
     {
       std::unique_lock lock(mutex_);
       ++entered_;
       entered_cv_.notify_all();
       gate_cv_.wait(lock, [&] { return open_; });
+    }
+    if (inner_ != nullptr) {
+      inner_->search_into(query, k, out);
+      return;
     }
     out.clear();
     for (std::size_t i = 0; i < std::min(k, size_); ++i) {
@@ -84,6 +93,7 @@ class GateIndex final : public index::VectorIndex {
  private:
   const std::size_t size_;
   const std::size_t dims_;
+  const index::VectorIndex* inner_ = nullptr;
   mutable std::mutex mutex_;
   mutable std::condition_variable gate_cv_;
   mutable std::condition_variable entered_cv_;
@@ -117,13 +127,17 @@ TEST(ServeBatchQueue, OkResultsAreBitIdenticalToDirectSearch) {
 TEST(ServeBatchQueue, CoalescedBatchTruncatesToEachRequestsK) {
   const MatrixF points = random_points(60, 4, 3);
   const index::FlatIndex flat(store::EmbeddingView::of(points));
-  const index::QueryEngine engine(flat, {.threads = 1, .metrics = nullptr});
+  GateIndex gate(flat);
+  const index::QueryEngine engine(gate, {.threads = 1, .metrics = nullptr});
   obs::MetricsRegistry metrics;
   BatchQueueConfig config;
-  config.max_linger = std::chrono::microseconds(20000);  // force coalescing
   config.metrics = &metrics;
   BatchQueue queue(engine, config);
 
+  // The first request holds the dispatcher inside the engine, so the next
+  // four queue behind it and leave together as the second batch.
+  auto first = queue.submit({0.0f, 0.0f, 0.0f, 0.0f}, 2);
+  gate.wait_entered(1);
   const MatrixF queries = random_points(4, 4, 4);
   const std::size_t ks[] = {1, 3, 5, 9};
   std::vector<std::future<SubmitResult>> futures;
@@ -132,24 +146,44 @@ TEST(ServeBatchQueue, CoalescedBatchTruncatesToEachRequestsK) {
     futures.push_back(
         queue.submit(std::vector<float>(row.begin(), row.end()), ks[q]));
   }
+  EXPECT_EQ(queue.depth(), 4u);
+  gate.open();
+
+  EXPECT_EQ(first.get().status, RequestStatus::kOk);
   for (std::size_t q = 0; q < 4; ++q) {
     const auto result = futures[q].get();
     ASSERT_EQ(result.status, RequestStatus::kOk);
-    // Exactly k results, and the k are the direct top-k (the prefix
-    // property the batching design leans on).
+    // The batch ran at k = 9; each answer is exactly its own direct top-k
+    // (the prefix property the batching design leans on).
     const auto direct = flat.search(queries.row(q), ks[q]);
     ASSERT_EQ(result.neighbors.size(), ks[q]);
     for (std::size_t i = 0; i < direct.size(); ++i) {
       EXPECT_EQ(result.neighbors[i].id, direct[i].id);
-      EXPECT_DOUBLE_EQ(result.neighbors[i].distance, direct[i].distance);
+      EXPECT_EQ(std::memcmp(&result.neighbors[i].distance, &direct[i].distance,
+                            sizeof(double)),
+                0);
     }
   }
-  // The linger window was generous, so the four submits (all parked before
-  // the first future resolved) coalesced into few engine batches.
   const auto snap = metrics.snapshot();
-  EXPECT_EQ(snap.counters.at("serve.requests"), 4u);
-  EXPECT_LE(snap.counters.at("serve.batches"), 4u);
-  EXPECT_GE(snap.histograms.at("serve.batch_occupancy").count, 1u);
+  EXPECT_EQ(snap.counters.at("serve.requests"), 5u);
+  EXPECT_EQ(snap.counters.at("serve.batches"), 2u);
+  const auto& occupancy = snap.histograms.at("serve.batch_occupancy");
+  EXPECT_EQ(occupancy.count, 2u);
+  EXPECT_EQ(occupancy.max, 4.0);
+}
+
+TEST(ServeBatchQueue, ZeroMaxBatchIsRejected) {
+  // A zero batch bound could never take a request: every future would
+  // hang and shutdown() would never join.
+  const MatrixF points = random_points(10, 3, 8);
+  const index::FlatIndex flat(store::EmbeddingView::of(points));
+  const index::QueryEngine engine(flat, {.threads = 1, .metrics = nullptr});
+  BatchQueueConfig config;
+  config.max_batch = 0;
+  EXPECT_THROW(BatchQueue(engine, config), std::invalid_argument);
+  config.max_batch = 1;
+  BatchQueue queue(engine, config);
+  EXPECT_EQ(queue.query({0.0f, 1.0f, 2.0f}, 2).status, RequestStatus::kOk);
 }
 
 TEST(ServeBatchQueue, WrongDimensionsRejectedBadRequest) {
@@ -197,7 +231,6 @@ TEST(ServeBatchQueue, DeadlineExpiredInQueueSkipsEngine) {
   obs::MetricsRegistry metrics;
   BatchQueueConfig config;
   config.max_batch = 1;  // the second request must wait for the first
-  config.max_linger = std::chrono::microseconds(0);
   config.metrics = &metrics;
   BatchQueue queue(engine, config);
 
@@ -220,7 +253,6 @@ TEST(ServeBatchQueue, FullQueueRejectsOverloadedWithoutBlocking) {
   obs::MetricsRegistry metrics;
   BatchQueueConfig config;
   config.max_batch = 1;
-  config.max_linger = std::chrono::microseconds(0);
   config.queue_capacity = 2;
   config.metrics = &metrics;
   BatchQueue queue(engine, config);
@@ -248,7 +280,6 @@ TEST(ServeBatchQueue, ShutdownDrainsEveryAdmittedRequest) {
   obs::MetricsRegistry metrics;
   BatchQueueConfig config;
   config.max_batch = 1;
-  config.max_linger = std::chrono::microseconds(0);
   config.default_deadline = std::chrono::milliseconds(0);  // no deadlines
   config.metrics = &metrics;
   BatchQueue queue(engine, config);
@@ -281,7 +312,6 @@ TEST(ServeBatchQueue, ZeroDefaultDeadlineDisablesTimeouts) {
   const index::QueryEngine engine(gate, {.threads = 1, .metrics = nullptr});
   BatchQueueConfig config;
   config.default_deadline = std::chrono::milliseconds(0);
-  config.max_linger = std::chrono::microseconds(0);
   BatchQueue queue(engine, config);
 
   auto future = queue.submit({0.0f, 0.0f}, 3);

@@ -37,7 +37,6 @@ TEST(ServeStress, ConcurrentClientsStayExactThroughShutdown) {
   obs::MetricsRegistry metrics;
   ServerConfig config;
   config.batch.max_batch = 8;
-  config.batch.max_linger = std::chrono::microseconds(100);
   config.metrics = &metrics;
   Server server(engine, config);
 

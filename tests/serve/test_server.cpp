@@ -122,6 +122,24 @@ TEST(ServeServer, NonFiniteQueryAnswersBadRequestAndKeepsConnection) {
   EXPECT_EQ(f.metrics.snapshot().counters.at("serve.rejected_bad_request"), 1u);
 }
 
+TEST(ServeServer, ClientRejectsKBeyondWireFieldWithoutSending) {
+  Fixture f;
+  auto client = Client::connect(f.server->host(), f.server->port());
+  // 2^32 + 10 would narrow to 10 in the u32 wire field.
+  const std::size_t too_big =
+      std::size_t{std::numeric_limits<std::uint32_t>::max()} + 11;
+  EXPECT_THROW((void)client.query(f.points.row(0), too_big),
+               std::invalid_argument);
+  // Nothing was sent: the connection stays framed and usable, and the
+  // largest representable k is still accepted.
+  EXPECT_TRUE(client.connected());
+  const auto response =
+      client.query(f.points.row(0), std::numeric_limits<std::uint32_t>::max());
+  EXPECT_EQ(response.status, RequestStatus::kOk);
+  EXPECT_EQ(response.neighbors.size(), f.points.rows());
+  EXPECT_EQ(f.metrics.snapshot().counters.at("serve.binary_requests"), 1u);
+}
+
 TEST(ServeServer, BadMagicAnswersBadRequestAndCloses) {
   Fixture f;
   const Socket socket = tcp_connect(f.server->host(), f.server->port());
