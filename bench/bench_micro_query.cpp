@@ -21,9 +21,7 @@
 #include "v2v/common/timer.hpp"
 #include "v2v/index/flat_index.hpp"
 #include "v2v/index/ivf_index.hpp"
-#include "v2v/index/ivfpq_index.hpp"
 #include "v2v/index/query_engine.hpp"
-#include "v2v/index/sq_index.hpp"
 #include "v2v/obs/export.hpp"
 #include "v2v/obs/metrics.hpp"
 
@@ -234,8 +232,10 @@ void write_query_baseline() {
       static_cast<double>(MatrixF::padded_stride(kDims) * sizeof(float));
   baseline.gauge("query.float_bytes_per_vector").set(float_bpv);
 
-  const index::SqIndex sq(view, index::DistanceMetric::kEuclidean,
-                          {.threads = kThreads});
+  const index::IvfIndex sq(view, index::DistanceMetric::kEuclidean,
+                           {.nlist = 1,
+                            .codec = index::IvfCodec::kSq8,
+                            .threads = kThreads});
   const index::QueryEngine sq_engine(sq, {.threads = kThreads, .metrics = nullptr});
   const double sq_qps = measure_qps(sq_engine, queries, kTopK, 3);
   const double sq_recall =
@@ -248,11 +248,12 @@ void write_query_baseline() {
               sq_qps, sq_recall, sq.bytes_per_vector(),
               sq.bytes_per_vector() / float_bpv);
 
-  index::IvfPqConfig pq_config;
+  index::IvfConfig pq_config;
   pq_config.nlist = 0;  // ~sqrt(n), same default as ivf
+  pq_config.codec = index::IvfCodec::kPq;
   pq_config.m = 16;
   pq_config.threads = kThreads;
-  index::IvfPqIndex ivfpq(view, index::DistanceMetric::kEuclidean, pq_config);
+  index::IvfIndex ivfpq(view, index::DistanceMetric::kEuclidean, pq_config);
   const index::QueryEngine pq_engine(ivfpq, {.threads = kThreads, .metrics = nullptr});
   const double pq_bpv = ivfpq.bytes_per_vector();
   baseline.gauge("query.ivfpq_bytes_per_vector").set(pq_bpv);

@@ -30,6 +30,7 @@
 // ignored would mean serving at default settings while believing
 // otherwise.
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -41,6 +42,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -48,9 +50,7 @@
 #include "v2v/embed/embedding.hpp"
 #include "v2v/index/flat_index.hpp"
 #include "v2v/index/ivf_index.hpp"
-#include "v2v/index/ivfpq_index.hpp"
 #include "v2v/index/query_engine.hpp"
-#include "v2v/index/sq_index.hpp"
 #include "v2v/obs/export.hpp"
 #include "v2v/obs/metrics.hpp"
 #include "v2v/serve/batch_queue.hpp"
@@ -81,6 +81,18 @@ index::DistanceMetric metric_from(const CliArgs& args) {
                               " (expected cosine, l2 or euclidean)");
 }
 
+/// m of `--quantize=pq:<m>`: an integer in [1, dims], parsed as strictly
+/// as CliArgs::get_size parses its flags.
+std::size_t pq_subspaces(const std::string& text, std::size_t dims) {
+  std::uint64_t m = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), m);
+  if (ec != std::errc{} || ptr != text.data() + text.size() || m < 1 || m > dims) {
+    throw std::invalid_argument("--quantize=pq:<m> expects an integer m in [1, " +
+                                std::to_string(dims) + "], got '" + text + "'");
+  }
+  return static_cast<std::size_t>(m);
+}
+
 int cmd_convert(const CliArgs& args) {
   const auto& out = args.positional()[2];
   const std::string quantize = args.get("quantize", "");
@@ -107,29 +119,24 @@ int cmd_convert(const CliArgs& args) {
     builder.set_float_matrix(store::EmbeddingView::of(emb));
   }
 
-  double bytes_per_vector = 0.0;
+  index::IvfConfig config;
+  config.threads = threads;
   if (quantize == "sq8") {
-    const index::SqIndex sq(store::EmbeddingView::of(emb), metric,
-                            {.threads = threads});
-    sq.save_sections(builder);
-    bytes_per_vector = sq.bytes_per_vector();
+    config.codec = index::IvfCodec::kSq8;
+    config.nlist = 1;  // an SQ8 snapshot is one list in id order
   } else if (quantize == "pq" || quantize.rfind("pq:", 0) == 0) {
-    index::IvfPqConfig config;
-    if (quantize.size() > 3) {
-      config.m = static_cast<std::size_t>(std::stoul(quantize.substr(3)));
-    }
+    config.codec = index::IvfCodec::kPq;
+    if (quantize != "pq") config.m = pq_subspaces(quantize.substr(3), emb.dimensions());
     config.nlist = args.get_size("nlist", 0);
-    config.threads = threads;
-    const index::IvfPqIndex ivfpq(store::EmbeddingView::of(emb), metric,
-                                  config);
-    ivfpq.save_sections(builder);
-    bytes_per_vector = ivfpq.bytes_per_vector();
   } else {
     std::fprintf(stderr,
                  "error: --quantize=%s (expected sq8, pq, or pq:<m>)\n",
                  quantize.c_str());
     return 2;
   }
+  const index::IvfIndex quantized(store::EmbeddingView::of(emb), metric, config);
+  quantized.save_sections(builder);
+  const double bytes_per_vector = quantized.bytes_per_vector();
   builder.write(out);
   std::printf("wrote %s: %llu rows x %llu dims, %s quantized "
               "(%.1f bytes/vector%s)\n",
@@ -306,6 +313,11 @@ int serve_offline(const CliArgs& args, const index::QueryEngine& engine,
 
 int cmd_serve(const CliArgs& args) {
   const auto& path = args.positional()[1];
+  const std::string kind = args.get("index", "flat");
+  if (kind != "flat" && kind != "ivf" && kind != "sq8" && kind != "ivfpq") {
+    throw std::invalid_argument("--index=" + kind +
+                                " (expected flat, ivf, sq8 or ivfpq)");
+  }
   obs::MetricsRegistry metrics;
 
   const auto mode = args.get_bool("no-mmap")
@@ -326,7 +338,6 @@ int cmd_serve(const CliArgs& args) {
   // (use all cores to build, few to serve); it never affects query
   // results or serving parallelism.
   const std::size_t build_threads = args.get_size("build-threads", threads);
-  const std::string kind = args.get("index", "flat");
 
   const auto require_floats = [&](const char* what) {
     if (!mapped.has_floats()) {
@@ -348,45 +359,7 @@ int cmd_serve(const CliArgs& args) {
   }
 
   std::unique_ptr<index::VectorIndex> idx;
-  if (kind == "ivf") {
-    require_floats("--index=ivf needs float rows (use sq8/ivfpq)");
-    index::IvfConfig config;
-    config.nlist = args.get_size("nlist", 0);
-    config.nprobe = args.get_size("nprobe", 8);
-    config.threads = build_threads;
-    config.metrics = &metrics;
-    idx = std::make_unique<index::IvfIndex>(mapped.float_view(), metric,
-                                            config);
-  } else if (kind == "sq8") {
-    if (mapped.has_section("sq8c")) {
-      auto sq = index::SqIndex::from_snapshot(mapped, {.rerank = rerank});
-      warn_stored_metric(sq->metric());
-      idx = std::move(sq);
-    } else {
-      require_floats("--index=sq8 needs float rows or a pre-quantized "
-                     "snapshot (convert --quantize=sq8)");
-      idx = std::make_unique<index::SqIndex>(
-          mapped.float_view(), metric,
-          index::SqConfig{.threads = build_threads, .rerank = rerank});
-    }
-  } else if (kind == "ivfpq") {
-    index::IvfPqConfig config;
-    config.nlist = args.get_size("nlist", 0);
-    config.nprobe = args.get_size("nprobe", 8);
-    config.rerank = rerank;
-    config.threads = build_threads;
-    config.metrics = &metrics;
-    if (mapped.has_section("pqcd")) {
-      auto ivfpq = index::IvfPqIndex::from_snapshot(mapped, config);
-      warn_stored_metric(ivfpq->metric());
-      idx = std::move(ivfpq);
-    } else {
-      require_floats("--index=ivfpq needs float rows or a pre-quantized "
-                     "snapshot (convert --quantize=pq)");
-      idx = std::make_unique<index::IvfPqIndex>(mapped.float_view(), metric,
-                                                config);
-    }
-  } else {
+  if (kind == "flat") {
     // Flags for other index kinds with --index=flat mean a
     // misconfiguration worth flagging (they would be silently inert).
     for (const char* flag : {"nlist", "nprobe", "build-threads", "rerank"}) {
@@ -399,6 +372,30 @@ int cmd_serve(const CliArgs& args) {
     }
     require_floats("--index=flat needs float rows (use sq8/ivfpq)");
     idx = std::make_unique<index::FlatIndex>(mapped.float_view(), metric);
+  } else {
+    index::IvfConfig config;
+    config.codec = kind == "sq8"     ? index::IvfCodec::kSq8
+                   : kind == "ivfpq" ? index::IvfCodec::kPq
+                                     : index::IvfCodec::kFloat;
+    // An SQ8 snapshot is one list in id order; sq8 builds match it.
+    config.nlist = kind == "sq8" ? 1 : args.get_size("nlist", 0);
+    config.nprobe = args.get_size("nprobe", 8);
+    config.rerank = rerank;
+    config.threads = build_threads;
+    config.metrics = &metrics;
+    const char* codes = kind == "sq8" ? "sq8c" : "pqcd";
+    if (kind != "ivf" && mapped.has_section(codes)) {
+      auto loaded = index::IvfIndex::from_snapshot(mapped, config);
+      warn_stored_metric(loaded->metric());
+      idx = std::move(loaded);
+    } else {
+      require_floats(kind == "ivf"
+                         ? "--index=ivf needs float rows (use sq8/ivfpq)"
+                         : "--index=sq8|ivfpq needs float rows or a "
+                           "pre-quantized snapshot (convert --quantize=sq8|pq)");
+      idx = std::make_unique<index::IvfIndex>(mapped.float_view(), metric,
+                                              config);
+    }
   }
   const index::QueryEngine engine(*idx, {.threads = threads, .metrics = &metrics});
   engine.warmup();
@@ -435,7 +432,7 @@ void usage() {
       "convert flags:\n"
       "  --quantize=sq8|pq[:m] also train + store quantized codes: sq8 = one\n"
       "                       byte/dim scalar codes, pq[:m] = IVF-PQ with m\n"
-      "                       bytes/vector (default 8)\n"
+      "                       bytes/vector, 1 <= m <= dims (default 8)\n"
       "  --keep-floats        keep the float matrix alongside the codes (for\n"
       "                       exact rerank); default drops it — the snapshot\n"
       "                       then serves with no float matrix in RAM\n"
@@ -448,14 +445,15 @@ void usage() {
       "  --index=flat|ivf|sq8|ivfpq\n"
       "                       flat = exact scan (default); ivf = approximate;\n"
       "                       sq8/ivfpq = quantized (loads pre-quantized\n"
-      "                       sections zero-copy, else quantizes on the fly)\n"
+      "                       sections zero-copy, else quantizes on the fly);\n"
+      "                       any other name exits 1\n"
       "  --metric=cosine|l2   distance metric (default cosine; pre-quantized\n"
       "                       snapshots carry their own)\n"
       "  --threads=N          QueryEngine workers for batch fan-out (default 1)\n"
       "  --nlist=N            IVF/IVF-PQ partitions; 0 = ~sqrt(rows)\n"
       "  --nprobe=N           IVF/IVF-PQ lists scanned per query (higher =\n"
       "                       better recall, lower QPS; default 8)\n"
-      "  --rerank=N           sq8/ivfpq: re-score top-N candidates against\n"
+      "  --rerank=N           ivf/sq8/ivfpq: re-score top-N candidates against\n"
       "                       the float matrix exactly (needs floats; 0 off)\n"
       "  --build-threads=N    threads for one-off index builds only\n"
       "                       (defaults to --threads; never changes results or\n"

@@ -78,7 +78,8 @@ void Sq8Quantizer::encode_row(std::span<const float> row,
 PqCodebooks PqCodebooks::from_pqbk(std::size_t dims, std::size_t m,
                                    std::size_t ksub,
                                    std::span<const std::uint8_t> bytes) {
-  if (bytes.size() != 256 * dims * sizeof(float)) {
+  if (dims > bytes.size() / (256 * sizeof(float)) ||
+      bytes.size() != 256 * dims * sizeof(float)) {
     throw store::SnapshotError(store::SnapshotErrorCode::kBadHeader,
                                "snapshot: pqbk size does not match 256 x dims");
   }
@@ -102,12 +103,12 @@ std::vector<std::uint8_t> PqCodebooks::to_pqbk() const {
   return out;
 }
 
-PqCodebooks pq_train(const MatrixF& train, const PqTrainConfig& config) {
+PqCodebooks pq_train(const MatrixF& train, std::size_t m, std::uint64_t seed,
+                     std::size_t threads, ml::KMeansAssign assign) {
   V2V_CHECK(train.rows() > 0, "pq: empty training matrix");
   const std::size_t dims = train.cols();
-  PqCodebooks pq = shaped_books(
-      dims, std::clamp<std::size_t>(config.m, 1, dims),
-      std::min<std::size_t>(256, train.rows()));
+  PqCodebooks pq = shaped_books(dims, std::clamp<std::size_t>(m, 1, dims),
+                                std::min<std::size_t>(256, train.rows()));
   for (std::size_t s = 0; s < pq.m; ++s) {
     const std::size_t d = pq.sub_dim(s);
     MatrixF sub(train.rows(), d);
@@ -120,11 +121,11 @@ PqCodebooks pq_train(const MatrixF& train, const PqTrainConfig& config) {
     }
     ml::KMeansConfig kc;
     kc.k = pq.ksub;
-    kc.max_iterations = std::max<std::size_t>(1, config.kmeans_iterations);
-    kc.restarts = std::max<std::size_t>(1, config.kmeans_restarts);
-    kc.seed = config.seed + s;  // distinct deterministic stream per subspace
-    kc.threads = std::max<std::size_t>(1, config.threads);
-    kc.assign = config.assign;
+    kc.max_iterations = kQuantizerIterations;
+    kc.restarts = 1;
+    kc.seed = seed + s;  // distinct deterministic stream per subspace
+    kc.threads = std::max<std::size_t>(1, threads);
+    kc.assign = assign;
     const ml::KMeansResult trained = ml::kmeans(sub, kc);
     float* book = pq.book(s);
     for (std::size_t c = 0; c < pq.ksub; ++c) {

@@ -49,14 +49,10 @@ struct Sq8Quantizer {
   void encode_row(std::span<const float> row, std::uint8_t* out) const noexcept;
 };
 
-struct PqTrainConfig {
-  std::size_t m = 8;           ///< subspaces (clamped to [1, dims])
-  std::size_t kmeans_iterations = 20;
-  std::size_t kmeans_restarts = 1;
-  std::uint64_t seed = 1;
-  std::size_t threads = 1;
-  ml::KMeansAssign assign = ml::KMeansAssign::kHamerly;
-};
+/// Lloyd iterations for every quantizer trained here — the IVF coarse
+/// quantizer and each PQ subspace, one restart each: a quantizer does not
+/// need the paper's 100 x 100 clustering budget.
+inline constexpr std::size_t kQuantizerIterations = 15;
 
 /// Trained per-subspace codebooks. Each subspace stores a full 256-entry
 /// book (codewords past ksub are zero), so the books buffer is always
@@ -100,9 +96,11 @@ struct PqCodebooks {
 };
 
 /// Trains per-subspace codebooks on the rows of `train` (typically
-/// residuals against a coarse quantizer). ksub = min(256, train rows).
-[[nodiscard]] PqCodebooks pq_train(const MatrixF& train,
-                                   const PqTrainConfig& config);
+/// residuals against a coarse quantizer): m subspaces (clamped to [1,
+/// dims]), ksub = min(256, train rows), subspace s seeded with seed + s.
+[[nodiscard]] PqCodebooks pq_train(const MatrixF& train, std::size_t m,
+                                   std::uint64_t seed, std::size_t threads,
+                                   ml::KMeansAssign assign);
 
 /// Encodes every row of `rows` into `codes` (rows x m bytes, row-major).
 /// Assignment runs on the exact k-means engine: byte-identical across

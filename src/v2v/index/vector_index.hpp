@@ -7,9 +7,9 @@
 //              correctness oracle every approximate index is measured
 //              against, and the engine behind KnnClassifier.
 //   IvfIndex   inverted-file index: a coarse k-means quantizer partitions
-//              the rows into nlist posting lists; a query scans only the
-//              nprobe nearest lists. Approximate — recall is traded
-//              against QPS through nprobe.
+//              float, SQ8 or PQ codes into nlist posting lists; a query
+//              scans only the nprobe nearest lists. Approximate — recall is
+//              traded against QPS (nprobe) and memory (codec, rerank).
 //
 // Distances are doubles: cosine distance in [0, 2] (zero vectors are
 // maximally distant, matching common/vec_math.hpp) or squared Euclidean.

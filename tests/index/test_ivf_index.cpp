@@ -1,5 +1,6 @@
 // IvfIndex behaviour: recall against the FlatIndex oracle on planted
-// clusters, the nprobe knob, list bookkeeping, and build-time metrics.
+// clusters, the nprobe knob, list bookkeeping, and build-time metrics
+// (the quantized codecs' recall and snapshots: test_quant_index.cpp).
 #include "v2v/index/ivf_index.hpp"
 
 #include <gtest/gtest.h>
@@ -140,26 +141,34 @@ TEST(IvfIndex, DeterministicForFixedSeed) {
   }
 }
 
+constexpr IvfCodec kCodecs[] = {IvfCodec::kFloat, IvfCodec::kSq8, IvfCodec::kPq};
+
 TEST(IvfIndex, EmptyDataThrows) {
   const MatrixF empty(0, 4);
-  EXPECT_THROW(
-      IvfIndex(store::EmbeddingView::of(empty), DistanceMetric::kEuclidean, {}),
-      std::invalid_argument);
+  for (const IvfCodec codec : kCodecs) {
+    EXPECT_THROW(IvfIndex(store::EmbeddingView::of(empty),
+                          DistanceMetric::kEuclidean, {.codec = codec}),
+                 std::invalid_argument)
+        << "codec " << static_cast<int>(codec);
+  }
 }
 
 TEST(IvfIndex, RecordsBuildMetrics) {
-  obs::MetricsRegistry metrics;
   const MatrixF points = planted_clusters(300, 8, 3, 11);
-  IvfConfig config;
-  config.nlist = 6;
-  config.metrics = &metrics;
-  const IvfIndex ivf(store::EmbeddingView::of(points), DistanceMetric::kEuclidean,
-                     config);
-  const auto snap = metrics.snapshot();
-  EXPECT_EQ(snap.gauges.at("ivf.nlist"), 6.0);
-  EXPECT_EQ(snap.counters.at("ivf.rows"), 300u);
-  EXPECT_GE(snap.gauges.at("ivf.build_seconds"), 0.0);
-  EXPECT_EQ(snap.histograms.at("ivf.list_size").count, 6u);
+  for (const IvfCodec codec : kCodecs) {
+    obs::MetricsRegistry metrics;
+    IvfConfig config;
+    config.nlist = 6;
+    config.codec = codec;
+    config.metrics = &metrics;
+    const IvfIndex ivf(store::EmbeddingView::of(points),
+                       DistanceMetric::kEuclidean, config);
+    const auto snap = metrics.snapshot();
+    EXPECT_EQ(snap.gauges.at("ivf.nlist"), 6.0) << static_cast<int>(codec);
+    EXPECT_EQ(snap.counters.at("ivf.rows"), 300u);
+    EXPECT_GE(snap.gauges.at("ivf.build_seconds"), 0.0);
+    EXPECT_EQ(snap.histograms.at("ivf.list_size").count, 6u);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Quantized index family: recall floors against the FlatIndex oracle on
-// planted clusters (SQ8, IVF-PQ, IVF-PQ + exact rerank), byte-identical
+// IvfIndex's quantized codecs: recall floors against the FlatIndex oracle
+// on planted clusters (SQ8, IVF-PQ, IVF-PQ + exact rerank), byte-identical
 // builds across thread counts, snapshot round-trips with bit-equal codes,
 // sections and search results, snapshot validation, and the runtime
 // nprobe/rerank knobs.
@@ -19,9 +19,8 @@
 
 #include "v2v/common/rng.hpp"
 #include "v2v/index/flat_index.hpp"
-#include "v2v/index/ivfpq_index.hpp"
+#include "v2v/index/ivf_index.hpp"
 #include "v2v/index/quantizer.hpp"
-#include "v2v/index/sq_index.hpp"
 #include "v2v/store/snapshot.hpp"
 
 namespace v2v::index {
@@ -29,7 +28,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Every snapshot section IvfPqIndex::save_sections writes.
+/// Every snapshot section save_sections writes for the PQ codec.
 constexpr const char* kIvfPqSections[] = {"qmet", "pqbk", "pqcc",
                                           "pqcd", "pqid", "pqls"};
 
@@ -51,6 +50,13 @@ MatrixF planted_clusters(std::size_t n, std::size_t d, std::size_t clusters,
   }
   return points;
 }
+
+/// SQ8 as one list in id order: the layout of an SQ8 snapshot.
+IvfConfig sq8_config(std::size_t threads = 1) {
+  return {.nlist = 1, .codec = IvfCodec::kSq8, .threads = threads};
+}
+
+IvfConfig pq_config() { return {.codec = IvfCodec::kPq}; }
 
 MatrixF sample_queries(const MatrixF& points, std::size_t count,
                        std::uint64_t seed) {
@@ -105,7 +111,7 @@ TEST(QuantIndex, Sq8RecallFloorOnPlantedClusters) {
   for (const auto metric :
        {DistanceMetric::kCosine, DistanceMetric::kEuclidean}) {
     const FlatIndex oracle(store::EmbeddingView::of(points), metric);
-    const SqIndex sq(store::EmbeddingView::of(points), metric, {.threads = 2});
+    const IvfIndex sq(store::EmbeddingView::of(points), metric, sq8_config(2));
     EXPECT_GE(recall_against(oracle, sq, queries, 10), 0.9)
         << "metric=" << static_cast<int>(metric);
   }
@@ -117,13 +123,13 @@ TEST(QuantIndex, IvfPqRecallFloorOnPlantedClusters) {
   for (const auto metric :
        {DistanceMetric::kCosine, DistanceMetric::kEuclidean}) {
     const FlatIndex oracle(store::EmbeddingView::of(points), metric);
-    IvfPqConfig config;
+    IvfConfig config = pq_config();
     config.nlist = 16;
     config.nprobe = 16;  // full probe: only PQ error left
     config.m = 8;
     config.threads = 2;
     config.seed = 7;
-    const IvfPqIndex ivfpq(store::EmbeddingView::of(points), metric, config);
+    const IvfIndex ivfpq(store::EmbeddingView::of(points), metric, config);
     EXPECT_GE(recall_against(oracle, ivfpq, queries, 10), 0.9)
         << "metric=" << static_cast<int>(metric);
   }
@@ -134,14 +140,14 @@ TEST(QuantIndex, IvfPqRerankLiftsRecall) {
   const MatrixF queries = sample_queries(points, 40, 6);
   const FlatIndex oracle(store::EmbeddingView::of(points),
                          DistanceMetric::kCosine);
-  IvfPqConfig config;
+  IvfConfig config = pq_config();
   config.nlist = 16;
   config.nprobe = 8;
   config.m = 4;  // coarse enough that plain ADC ordering is imperfect
   config.threads = 2;
   config.seed = 9;
-  IvfPqIndex ivfpq(store::EmbeddingView::of(points), DistanceMetric::kCosine,
-                   config);
+  IvfIndex ivfpq(store::EmbeddingView::of(points), DistanceMetric::kCosine,
+                 config);
   const double plain = recall_against(oracle, ivfpq, queries, 10);
   ivfpq.set_rerank(100);
   const double reranked = recall_against(oracle, ivfpq, queries, 10);
@@ -156,13 +162,13 @@ TEST(QuantIndex, RerankedDistancesMatchOracleBitForBit) {
   for (const auto metric :
        {DistanceMetric::kCosine, DistanceMetric::kEuclidean}) {
     const FlatIndex oracle(store::EmbeddingView::of(points), metric);
-    SqIndex sq(store::EmbeddingView::of(points), metric, {.threads = 1});
+    IvfIndex sq(store::EmbeddingView::of(points), metric, sq8_config());
     sq.set_rerank(points.rows());  // rerank the full candidate set
-    IvfPqConfig config;
+    IvfConfig config = pq_config();
     config.nlist = 8;
     config.m = 4;
     config.seed = 25;
-    IvfPqIndex ivfpq(store::EmbeddingView::of(points), metric, config);
+    IvfIndex ivfpq(store::EmbeddingView::of(points), metric, config);
     ivfpq.set_nprobe(ivfpq.nlist());  // every list: every row is a candidate
     ivfpq.set_rerank(points.rows());
     for (const VectorIndex* index : {static_cast<const VectorIndex*>(&sq),
@@ -189,12 +195,12 @@ TEST(QuantIndex, IvfPqRerankRescoresTheTopRAdcCandidates) {
   const auto view = store::EmbeddingView::of(points);
   for (const auto metric :
        {DistanceMetric::kCosine, DistanceMetric::kEuclidean}) {
-    IvfPqConfig config;
+    IvfConfig config = pq_config();
     config.nlist = 12;
     config.nprobe = 4;
     config.m = 4;
     config.seed = 29;
-    IvfPqIndex ivfpq(view, metric, config);
+    IvfIndex ivfpq(view, metric, config);
     for (const std::size_t depth : {std::size_t{1}, std::size_t{7},
                                     std::size_t{40}, std::size_t{5000}}) {
       for (std::size_t q = 0; q < queries.rows(); ++q) {
@@ -220,51 +226,46 @@ TEST(QuantIndex, IvfPqRerankRescoresTheTopRAdcCandidates) {
 
 TEST(QuantIndex, BuildIsByteIdenticalAcrossThreadCounts) {
   const MatrixF points = planted_clusters(1500, 20, 8, 13);
-  IvfPqConfig base;
-  base.nlist = 12;
-  base.m = 5;  // unequal subspace split on 20 dims
-  base.seed = 21;
+  for (const IvfCodec codec : {IvfCodec::kFloat, IvfCodec::kSq8, IvfCodec::kPq}) {
+    IvfConfig base;
+    base.nlist = 12;
+    base.codec = codec;
+    base.m = 5;  // unequal subspace split on 20 dims
+    base.seed = 21;
 
-  IvfPqConfig c1 = base;
-  c1.threads = 1;
-  const IvfPqIndex one(store::EmbeddingView::of(points),
+    IvfConfig c1 = base;
+    c1.threads = 1;
+    const IvfIndex one(store::EmbeddingView::of(points),
                        DistanceMetric::kCosine, c1);
-  for (const std::size_t threads : {2UL, 3UL, 8UL}) {
-    IvfPqConfig cn = base;
-    cn.threads = threads;
-    const IvfPqIndex many(store::EmbeddingView::of(points),
+    for (const std::size_t threads : {2UL, 3UL, 8UL}) {
+      IvfConfig cn = base;
+      cn.threads = threads;
+      const IvfIndex many(store::EmbeddingView::of(points),
                           DistanceMetric::kCosine, cn);
-    const auto a = one.packed_codes();
-    const auto b = many.packed_codes();
-    ASSERT_EQ(a.size(), b.size()) << threads;
-    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size()), 0)
-        << "codes diverge at threads=" << threads;
-    ASSERT_EQ(one.ids().size(), many.ids().size());
-    EXPECT_EQ(std::memcmp(one.ids().data(), many.ids().data(),
-                          one.ids().size() * sizeof(std::uint32_t)),
-              0)
-        << "ids diverge at threads=" << threads;
-    EXPECT_TRUE(std::equal(one.list_offsets().begin(),
-                           one.list_offsets().end(),
-                           many.list_offsets().begin()))
-        << "list offsets diverge at threads=" << threads;
+      const auto a = one.packed_codes();
+      const auto b = many.packed_codes();
+      const int c = static_cast<int>(codec);
+      ASSERT_EQ(a.size(), b.size()) << threads;
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size()), 0)
+          << "codes diverge at threads=" << threads << " codec " << c;
+      ASSERT_EQ(one.ids().size(), many.ids().size());
+      EXPECT_EQ(std::memcmp(one.ids().data(), many.ids().data(),
+                            one.ids().size() * sizeof(std::uint32_t)),
+                0)
+          << "ids diverge at threads=" << threads << " codec " << c;
+      EXPECT_TRUE(std::equal(one.list_offsets().begin(),
+                             one.list_offsets().end(),
+                             many.list_offsets().begin()))
+          << "list offsets diverge at threads=" << threads << " codec " << c;
+    }
   }
-
-  const SqIndex sq1(store::EmbeddingView::of(points), DistanceMetric::kCosine,
-                    {.threads = 1});
-  const SqIndex sq8(store::EmbeddingView::of(points), DistanceMetric::kCosine,
-                    {.threads = 8});
-  const auto a = sq1.packed_codes();
-  const auto b = sq8.packed_codes();
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size()), 0);
 }
 
 TEST_F(QuantIndexTest, Sq8SnapshotRoundTripIsBitExact) {
   const MatrixF points = planted_clusters(800, 24, 6, 15);
   const MatrixF queries = sample_queries(points, 20, 16);
-  const SqIndex built(store::EmbeddingView::of(points),
-                      DistanceMetric::kCosine, {.threads = 2});
+  const IvfIndex built(store::EmbeddingView::of(points),
+                       DistanceMetric::kCosine, sq8_config(2));
 
   store::SnapshotBuilder builder(points.rows(), points.cols());
   built.save_sections(builder);
@@ -273,7 +274,7 @@ TEST_F(QuantIndexTest, Sq8SnapshotRoundTripIsBitExact) {
 
   const auto snap = store::MappedSnapshot::open(p);
   EXPECT_FALSE(snap.has_floats());
-  const auto loaded = SqIndex::from_snapshot(snap);
+  const auto loaded = IvfIndex::from_snapshot(snap, sq8_config());
   EXPECT_EQ(loaded->metric(), DistanceMetric::kCosine);
 
   const auto a = built.packed_codes();
@@ -295,14 +296,14 @@ TEST_F(QuantIndexTest, Sq8SnapshotRoundTripIsBitExact) {
 TEST_F(QuantIndexTest, IvfPqSnapshotRoundTripIsBitExact) {
   const MatrixF points = planted_clusters(1000, 16, 8, 17);
   const MatrixF queries = sample_queries(points, 20, 18);
-  IvfPqConfig config;
+  IvfConfig config = pq_config();
   config.nlist = 10;
   config.nprobe = 4;
   config.m = 8;
   config.threads = 2;
   config.seed = 23;
-  const IvfPqIndex built(store::EmbeddingView::of(points),
-                         DistanceMetric::kEuclidean, config);
+  const IvfIndex built(store::EmbeddingView::of(points),
+                       DistanceMetric::kEuclidean, config);
 
   // With floats: rerank survives the round trip.
   store::SnapshotBuilder builder(points.rows(), points.cols());
@@ -313,9 +314,9 @@ TEST_F(QuantIndexTest, IvfPqSnapshotRoundTripIsBitExact) {
 
   const auto snap = store::MappedSnapshot::open(p);
   EXPECT_TRUE(snap.has_floats());
-  IvfPqConfig lc;
+  IvfConfig lc = pq_config();
   lc.nprobe = 4;
-  const auto loaded = IvfPqIndex::from_snapshot(snap, lc);
+  const auto loaded = IvfIndex::from_snapshot(snap, lc);
   EXPECT_EQ(loaded->metric(), DistanceMetric::kEuclidean);
   EXPECT_EQ(loaded->nlist(), built.nlist());
 
@@ -362,17 +363,17 @@ TEST_F(QuantIndexTest, IvfPqSnapshotWithOutOfRangeIdIsRejected) {
   // rows would go back to clients and index the float matrix in rerank,
   // so loading must refuse it.
   const MatrixF points = planted_clusters(300, 8, 4, 31);
-  IvfPqConfig config;
+  IvfConfig config = pq_config();
   config.nlist = 4;
   config.m = 4;
-  const IvfPqIndex built(store::EmbeddingView::of(points),
-                         DistanceMetric::kEuclidean, config);
+  const IvfIndex built(store::EmbeddingView::of(points),
+                       DistanceMetric::kEuclidean, config);
   store::SnapshotBuilder good(points.rows(), points.cols());
   built.save_sections(good);
   const auto good_path = path("good.v2vsnap");
   good.write(good_path);
   const auto snap = store::MappedSnapshot::open(good_path);
-  ASSERT_NO_THROW((void)IvfPqIndex::from_snapshot(snap));
+  ASSERT_NO_THROW((void)IvfIndex::from_snapshot(snap, pq_config()));
 
   store::SnapshotBuilder bad(points.rows(), points.cols());
   for (const char* name : kIvfPqSections) {
@@ -388,24 +389,67 @@ TEST_F(QuantIndexTest, IvfPqSnapshotWithOutOfRangeIdIsRejected) {
   bad.write(bad_path);
   const auto tampered = store::MappedSnapshot::open(bad_path);
   try {
-    (void)IvfPqIndex::from_snapshot(tampered);
+    (void)IvfIndex::from_snapshot(tampered, pq_config());
     ADD_FAILURE() << "an id equal to rows was accepted";
   } catch (const store::SnapshotError& error) {
     EXPECT_EQ(error.code(), store::SnapshotErrorCode::kBadHeader);
   }
 }
 
+TEST_F(QuantIndexTest, SnapshotWhoseSectionSizesWrapIsRejected) {
+  // Quant-only files whose header shape makes an expected section size
+  // wrap to the (empty) size the section has: rows x m and rows x 4 for
+  // IVF-PQ, 2 x dims x 4 and rows x dims for SQ8. Accepting them would
+  // serve 2^62 rows out of empty sections.
+  const auto expect_bad_header = [](const std::string& file, IvfCodec codec) {
+    const auto snap = store::MappedSnapshot::open(file);
+    try {
+      (void)IvfIndex::from_snapshot(snap, {.codec = codec});
+      ADD_FAILURE() << file << " was accepted";
+    } catch (const store::SnapshotError& error) {
+      EXPECT_EQ(error.code(), store::SnapshotErrorCode::kBadHeader) << file;
+    }
+  };
+
+  store::SnapshotBuilder pq(1ULL << 62, 4);
+  QuantMeta meta;
+  meta.kind = kQuantKindIvfPq;
+  meta.m = 4;
+  meta.ksub = 256;
+  meta.nlist = 1;
+  pq.add_section("qmet", encode_quant_meta(meta));
+  pq.add_section("pqbk", std::vector<std::uint8_t>(256 * 4 * sizeof(float)));
+  pq.add_section("pqcc", std::vector<std::uint8_t>(4 * sizeof(float)));
+  pq.add_section("pqcd", {});
+  pq.add_section("pqid", {});
+  std::vector<std::uint8_t> lists(2 * sizeof(std::uint64_t));
+  const std::uint64_t rows = 1ULL << 62;
+  std::memcpy(lists.data() + sizeof(rows), &rows, sizeof(rows));
+  pq.add_section("pqls", std::move(lists));
+  pq.write(path("pq_wrap.v2vsnap"));
+  expect_bad_header(path("pq_wrap.v2vsnap"), IvfCodec::kPq);
+
+  store::SnapshotBuilder sq8(8, 1ULL << 61);
+  QuantMeta sq8_meta;
+  sq8_meta.kind = kQuantKindSq8;
+  sq8.add_section("qmet", encode_quant_meta(sq8_meta));
+  sq8.add_section("sq8p", {});
+  sq8.add_section("sq8c", {});
+  sq8.write(path("sq8_wrap.v2vsnap"));
+  expect_bad_header(path("sq8_wrap.v2vsnap"), IvfCodec::kSq8);
+}
+
 TEST(QuantIndex, BytesPerVectorBeatFloatBudget) {
   const MatrixF points = planted_clusters(1000, 64, 8, 19);
   const double float_bytes =
       static_cast<double>(MatrixF::padded_stride(64) * sizeof(float));
-  const SqIndex sq(store::EmbeddingView::of(points), DistanceMetric::kCosine,
-                   {.threads = 2});
-  IvfPqConfig config;
+  const IvfIndex sq(store::EmbeddingView::of(points), DistanceMetric::kCosine,
+                    sq8_config(2));
+  IvfConfig config = pq_config();
   config.m = 8;
   config.threads = 2;
-  const IvfPqIndex ivfpq(store::EmbeddingView::of(points),
-                         DistanceMetric::kCosine, config);
+  const IvfIndex ivfpq(store::EmbeddingView::of(points),
+                       DistanceMetric::kCosine, config);
   EXPECT_LE(sq.bytes_per_vector(), 0.35 * float_bytes);
   EXPECT_LE(ivfpq.bytes_per_vector(), 0.35 * float_bytes);
 }
@@ -461,10 +505,12 @@ TEST(QuantIndex, Sq8EncodeClampsAndInvertsAffinely) {
 }
 
 TEST(QuantIndex, EmptyEmbeddingThrows) {
-  EXPECT_THROW(SqIndex(store::EmbeddingView(), DistanceMetric::kCosine),
-               std::invalid_argument);
-  EXPECT_THROW(IvfPqIndex(store::EmbeddingView(), DistanceMetric::kCosine),
-               std::invalid_argument);
+  EXPECT_THROW(
+      IvfIndex(store::EmbeddingView(), DistanceMetric::kCosine, sq8_config()),
+      std::invalid_argument);
+  EXPECT_THROW(
+      IvfIndex(store::EmbeddingView(), DistanceMetric::kCosine, pq_config()),
+      std::invalid_argument);
 }
 
 }  // namespace
