@@ -33,31 +33,22 @@ V2VModel learn_embedding(const graph::Graph& g, const V2VConfig& config) {
     train_config.seed = splitmix64(sm);
   }
 
-  if (config.streaming) {
-    // Walk generation happens inside the trainer; walk_seconds stays 0 and
-    // the corpus counters report the per-epoch walk budget.
-    train_config.seed ^= walk_seed;
-    auto result = embed::train_embedding_streaming(g, walk_config, train_config);
-    model.corpus_walks = g.vertex_count() * walk_config.walks_per_vertex;
-    model.corpus_tokens = 0;  // never materialized
-    model.train_seconds = result.stats.train_seconds;
-    model.train_stats = std::move(result.stats);
-    model.embedding = std::move(result.embedding);
-    if (result.checkpoint) {
-      result.checkpoint->walks_per_vertex = walk_config.walks_per_vertex;
-      result.checkpoint->walk_length = walk_config.walk_length;
-      result.checkpoint->walk_seed = walk_seed;
-      model.checkpoint = std::move(result.checkpoint);
-    }
-    return model;
-  }
-
+  // Pick the corpus once: streamed, spooled or RAM-resident. The
+  // checkpoint's walk identity is stamped once, after the choice.
   embed::TrainResult result;
-  if (!walk_config.spool_dir.empty()) {
+  if (config.streaming) {
+    // Walk generation happens inside the trainer; walk_seconds stays 0,
+    // corpus_tokens stays 0 (never materialized) and corpus_walks reports
+    // the per-epoch walk budget.
+    train_config.seed ^= walk_seed;
+    result = embed::train_embedding_streaming(g, walk_config, train_config);
+    model.corpus_walks = g.vertex_count() * walk_config.walks_per_vertex;
+  } else if (!walk_config.spool_dir.empty()) {
     // Out-of-core path: walks stream to disk segments as they are
     // generated, then training reads them back through the mmap'd
-    // SpooledCorpus. The spool mirrors generate_corpus's sharding, so a
-    // fixed seed produces the same epoch_loss trajectory either way.
+    // SpooledCorpus. The spool has the layout of generate_corpus's walk
+    // driver, so a fixed seed produces the same epoch_loss trajectory
+    // either way.
     WallTimer timer;
     const walk::SpoolStats stats =
         walk::generate_corpus_spooled(g, walk_config, walk_seed);

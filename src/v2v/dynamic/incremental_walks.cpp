@@ -1,23 +1,12 @@
 #include "v2v/dynamic/incremental_walks.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "v2v/common/check.hpp"
-#include "v2v/common/rng.hpp"
-#include "v2v/common/thread_pool.hpp"
 
 namespace v2v::dynamic {
-
-IncrementalWalkResult regenerate_corpus_incremental(
-    const graph::Graph& g, const walk::WalkConfig& config, std::uint64_t seed,
-    const walk::Corpus& old_corpus, const walk::WalkIndex& old_index,
-    std::span<const graph::VertexId> dirty) {
-  const walk::InMemoryCorpus reader(old_corpus);
-  return regenerate_corpus_incremental(
-      g, config, seed, static_cast<const walk::CorpusReader&>(reader), old_index,
-      dirty);
-}
 
 IncrementalWalkResult regenerate_corpus_incremental(
     const graph::Graph& g, const walk::WalkConfig& config, std::uint64_t seed,
@@ -48,65 +37,33 @@ IncrementalWalkResult regenerate_corpus_incremental(
   }
   for (std::size_t v = old_n; v < n; ++v) affected[v] = true;
 
-  // Mirror generate_corpus's sharding exactly (same grain, same chunk
-  // order, same per-vertex RNG forks) so the merged corpus is
-  // token-for-token what a full regeneration would produce.
+  // The walk driver lays the corpus out as generate_corpus does (same
+  // split, same per-vertex streams, no telemetry), so the merged corpus
+  // is token-for-token what a full regeneration would produce. The block
+  // of walks_per_vertex walks is the unit of RNG determinism: an affected
+  // start vertex re-walks all of it, any other splices it through.
+  walk::WalkConfig layout = config;
+  layout.metrics = nullptr;
+  const walk::CorpusDriver driver(n, layout, seed);
   const walk::Walker walker(g, config);
-  const std::size_t threads = std::max<std::size_t>(1, config.threads);
-  const std::size_t grain =
-      config.grain != 0 ? config.grain : default_grain(n, threads);
-  const std::size_t chunks = chunk_count(n, grain);
-
-  std::vector<walk::Corpus> shards(chunks);
-  std::vector<std::size_t> shard_regenerated(chunks, 0);
-  const Rng root(seed);
-  parallel_for_dynamic(
-      threads, n, grain,
-      [&](std::size_t /*worker*/, std::size_t chunk, std::size_t begin,
-          std::size_t end) {
-        walk::Corpus& shard = shards[chunk];
-        shard.reserve((end - begin) * walks_per_vertex,
-                      (end - begin) * walks_per_vertex * config.walk_length);
-        std::vector<graph::VertexId> buffer;
-        buffer.reserve(config.walk_length);
-        for (std::size_t v = begin; v < end; ++v) {
-          if (affected[v]) {
-            // Whole block re-walked: the block is the unit of RNG
-            // determinism (one fork per start vertex).
-            Rng rng = root.fork(v);
-            for (std::size_t w = 0; w < walks_per_vertex; ++w) {
-              walker.walk_from(static_cast<graph::VertexId>(v), rng, buffer);
-              shard.add_walk(buffer);
-            }
-            ++shard_regenerated[chunk];
-          } else {
-            for (std::size_t w = 0; w < walks_per_vertex; ++w) {
-              shard.add_walk(old_corpus.walk(v * walks_per_vertex + w));
-            }
-          }
+  IncrementalWalkResult result;
+  result.corpus = driver.collect(
+      std::bind_front(&walk::Walker::walk_from, &walker),
+      [&](graph::VertexId v, walk::Corpus& shard) {
+        if (affected[v]) return false;
+        for (std::size_t w = 0; w < walks_per_vertex; ++w) {
+          shard.add_walk(old_corpus.walk(v * walks_per_vertex + w));
         }
+        return true;
       });
 
-  IncrementalWalkResult result;
-  for (const std::size_t count : shard_regenerated) {
-    result.regenerated_starts += count;
-  }
+  result.regenerated_starts =
+      static_cast<std::size_t>(std::count(affected.begin(), affected.end(), true));
   result.reused_starts = n - result.regenerated_starts;
-  // Invalidated = affected starts that HAD old walks (new vertices never
-  // had any to discard).
-  std::size_t affected_old = 0;
-  for (std::size_t v = 0; v < old_n; ++v) {
-    if (affected[v]) ++affected_old;
-  }
-  result.invalidated_walks = affected_old * walks_per_vertex;
-
-  if (chunks == 1) {
-    result.corpus = std::move(shards[0]);
-    return result;
-  }
-  walk::Corpus merged;
-  for (auto& shard : shards) merged.append(std::move(shard));
-  result.corpus = std::move(merged);
+  // Invalidated = affected starts that HAD old walks: every new vertex is
+  // affected and had none to discard.
+  result.invalidated_walks =
+      (result.regenerated_starts - (n - old_n)) * walks_per_vertex;
   return result;
 }
 

@@ -9,7 +9,10 @@
 //   - it is a brand-new vertex (no old walks exist).
 // Every other start vertex's walks replay bit-identically: each step
 // leaves a clean vertex whose neighbor set (and alias table) is
-// unchanged, so the per-vertex RNG stream consumes the same draws. That
+// unchanged, so the per-vertex RNG stream consumes the same draws. The
+// regeneration runs on the same walk driver as generate_corpus
+// (walk::CorpusDriver: same split, same per-vertex streams, same
+// chunk-order merge) and only splices the unaffected blocks in, so the
 // induction makes the output *exactly* equal to
 // walk::generate_corpus(new_graph, config, seed) — a contract the tests
 // in tests/dynamic/ enforce token-for-token.
@@ -39,17 +42,11 @@ struct IncrementalWalkResult {
 /// in `dirty`. `old_index` must index `old_corpus`; `old_corpus` must
 /// hold exactly walks_per_vertex walks per old vertex in start-vertex
 /// order (the generate_corpus layout). The old corpus is read through the
-/// CorpusReader abstraction, so it can be the RAM corpus or a disk spool
-/// (walk::SpooledCorpus) — splicing reads each reused walk once.
+/// CorpusReader interface, so it can be the RAM walk::Corpus or a disk
+/// spool (walk::SpooledCorpus) — splicing reads each reused walk once.
 [[nodiscard]] IncrementalWalkResult regenerate_corpus_incremental(
     const graph::Graph& g, const walk::WalkConfig& config, std::uint64_t seed,
     const walk::CorpusReader& old_corpus, const walk::WalkIndex& old_index,
-    std::span<const graph::VertexId> dirty);
-
-/// Convenience overload for a RAM-resident old corpus.
-[[nodiscard]] IncrementalWalkResult regenerate_corpus_incremental(
-    const graph::Graph& g, const walk::WalkConfig& config, std::uint64_t seed,
-    const walk::Corpus& old_corpus, const walk::WalkIndex& old_index,
     std::span<const graph::VertexId> dirty);
 
 }  // namespace v2v::dynamic

@@ -40,19 +40,7 @@ RefreshSession::RefreshSession(DynamicGraph graph,
 
   regenerate_corpus();
   rebuild_index();
-
-  embed::TrainConfig config = train_config_;
-  config.capture_checkpoint = true;
-  auto result =
-      spool_ ? embed::train_embedding(*spool_, graph_.base().vertex_count(),
-                                      config)
-             : embed::train_embedding(corpus_, graph_.base().vertex_count(),
-                                      config);
-  embedding_ = std::move(result.embedding);
-  checkpoint_ = std::move(*result.checkpoint);
-  checkpoint_.walks_per_vertex = walk_config_.walks_per_vertex;
-  checkpoint_.walk_length = walk_config_.walk_length;
-  checkpoint_.walk_seed = walk_seed_;
+  (void)train_cold();
 }
 
 RefreshSession::RefreshSession(DynamicGraph graph, embed::Embedding warm_start,
@@ -102,9 +90,27 @@ void RefreshSession::regenerate_corpus() {
   corpus_ = walk::generate_corpus(graph_.base(), walk_config_, walk_seed_);
 }
 
+const walk::CorpusReader& RefreshSession::session_corpus() const noexcept {
+  if (spool_) return *spool_;
+  return corpus_;
+}
+
 void RefreshSession::rebuild_index() {
-  index_ = spool_ ? walk::WalkIndex(*spool_, graph_.base().vertex_count())
-                  : walk::WalkIndex(corpus_, graph_.base().vertex_count());
+  index_ = walk::WalkIndex(session_corpus(), graph_.base().vertex_count());
+}
+
+embed::TrainStats RefreshSession::train_cold() {
+  embed::TrainConfig config = train_config_;
+  config.capture_checkpoint = true;
+  auto result =
+      embed::train_embedding(session_corpus(), graph_.base().vertex_count(), config);
+  embedding_ = std::move(result.embedding);
+  checkpoint_ = std::move(*result.checkpoint);
+  // A cold start begins a fresh lineage with the session's walk identity.
+  checkpoint_.walks_per_vertex = walk_config_.walks_per_vertex;
+  checkpoint_.walk_length = walk_config_.walk_length;
+  checkpoint_.walk_seed = walk_seed_;
+  return std::move(result.stats);
 }
 
 embed::TrainConfig RefreshSession::refresh_train_config() const {
@@ -137,13 +143,9 @@ RefreshStats RefreshSession::refresh() {
   // Splice from whichever backing currently holds the session corpus;
   // the merged result is RAM-resident either way, so a spooled session
   // pays the disk read exactly once.
-  auto incremental =
-      spool_ ? regenerate_corpus_incremental(
-                   graph_.base(), walk_config_, walk_seed_, *spool_, index_,
-                   std::span<const graph::VertexId>(dirty))
-             : regenerate_corpus_incremental(
-                   graph_.base(), walk_config_, walk_seed_, corpus_, index_,
-                   std::span<const graph::VertexId>(dirty));
+  auto incremental = regenerate_corpus_incremental(
+      graph_.base(), walk_config_, walk_seed_, session_corpus(), index_,
+      std::span<const graph::VertexId>(dirty));
   stats.walk_seconds = walk_timer.seconds();
   stats.regenerated_starts = incremental.regenerated_starts;
   stats.reused_starts = incremental.reused_starts;
@@ -179,21 +181,8 @@ RefreshStats RefreshSession::full_retrain() {
   rebuild_index();
 
   WallTimer train_timer;
-  embed::TrainConfig config = train_config_;
-  config.capture_checkpoint = true;
-  auto result =
-      spool_ ? embed::train_embedding(*spool_, graph_.base().vertex_count(),
-                                      config)
-             : embed::train_embedding(corpus_, graph_.base().vertex_count(),
-                                      config);
+  stats.train = train_cold();
   stats.train_seconds = train_timer.seconds();
-  embedding_ = std::move(result.embedding);
-  checkpoint_ = std::move(*result.checkpoint);
-  // A retrain starts a fresh lineage with the session's walk identity.
-  checkpoint_.walks_per_vertex = walk_config_.walks_per_vertex;
-  checkpoint_.walk_length = walk_config_.walk_length;
-  checkpoint_.walk_seed = walk_seed_;
-  stats.train = std::move(result.stats);
   stats.total_seconds = total_timer.seconds();
   record_stats(stats);
   return stats;

@@ -125,7 +125,13 @@ class RefreshSession {
   /// (Re)creates the session corpus from graph_.base() at walk_seed_:
   /// spooled to walk_config_.spool_dir when set, RAM-resident otherwise.
   void regenerate_corpus();
+  /// The live session corpus: the spool while spooled(), else corpus_.
+  [[nodiscard]] const walk::CorpusReader& session_corpus() const noexcept;
   void rebuild_index();
+  /// Cold-start training on the session corpus (bootstrap and
+  /// full_retrain): replaces the embedding and checkpoint, and stamps the
+  /// session's walk identity into the checkpoint.
+  embed::TrainStats train_cold();
   [[nodiscard]] embed::TrainConfig refresh_train_config() const;
   void record_stats(const RefreshStats& stats) const;
 

@@ -32,8 +32,6 @@ struct TrainerState {
   std::vector<double> keep_probability;  // subsampling; empty = keep all
   std::atomic<std::uint64_t> tokens_processed{0};
   std::uint64_t planned_tokens = 0;
-  std::size_t grain = 0;   // resolved work-queue chunk size (for metrics)
-  std::size_t chunks = 0;  // chunks per epoch (for metrics)
 
   explicit TrainerState(const TrainConfig& cfg) : config(cfg) {}
 };
@@ -291,20 +289,32 @@ void initialize_subsampling(TrainerState& state,
   }
 }
 
-/// Shared epoch loop: `run_epoch(epoch)` must execute one full pass and
-/// return the merged per-thread stats.
-TrainResult run_training(TrainerState& state,
-                         const std::function<EpochShard(std::size_t)>& run_epoch) {
+/// Pushes one chunk's sentences through that chunk's trainer.
+using SentenceFeed = std::function<void(SentenceTrainer&)>;
+/// Trains chunk `chunk` of the current epoch from `feed`.
+using ChunkTrainer = std::function<void(std::size_t chunk, const SentenceFeed& feed)>;
+
+/// The chunked epoch loop the corpus and streaming drivers share. Each
+/// epoch, `run_chunks(epoch, train_chunk)` calls train_chunk once for
+/// every chunk, from whichever worker claims it. Chunk c of epoch e trains
+/// through a SentenceTrainer seeded root.fork(e * chunks + c), and the
+/// per-chunk stats are summed in chunk order, so results depend only on
+/// (seed, grain), never on the schedule (exact with 1 thread;
+/// Hogwild-racy above).
+TrainResult run_training(
+    TrainerState& state, std::size_t grain, std::size_t chunks,
+    const std::function<void(std::size_t, const ChunkTrainer&)>& run_chunks) {
   WallTimer timer;
   TrainResult result;
   double prev_loss = 0.0;
   const TrainConfig& config = state.config;
   obs::MetricsRegistry* metrics = config.metrics;
   const obs::ScopedTimer train_span(metrics, "train");
+  const Rng root(config.seed ^ 0xd1b54a32d192ed03ULL);
 
   if (metrics != nullptr) {
-    metrics->gauge("train.grain").set(static_cast<double>(state.grain));
-    metrics->gauge("train.chunks").set(static_cast<double>(state.chunks));
+    metrics->gauge("train.grain").set(static_cast<double>(grain));
+    metrics->gauge("train.chunks").set(static_cast<double>(chunks));
     metrics->counter(std::string("train.isa.") + kernels::active_isa_name()).add(1);
   }
 
@@ -312,7 +322,17 @@ TrainResult run_training(TrainerState& state,
     const obs::ScopedTimer epoch_span(metrics, "epoch");
     const std::uint64_t tokens_before =
         state.tokens_processed.load(std::memory_order_relaxed);
-    const EpochShard totals = run_epoch(epoch);
+    std::vector<EpochShard> shards(chunks);
+    run_chunks(epoch, [&](std::size_t chunk, const SentenceFeed& feed) {
+      SentenceTrainer trainer(state, root.fork(epoch * chunks + chunk));
+      feed(trainer);
+      shards[chunk] = trainer.finish();
+    });
+    EpochShard totals;
+    for (const auto& shard : shards) {
+      totals.loss += shard.loss;
+      totals.examples += shard.examples;
+    }
     result.stats.examples += totals.examples;
     const double mean_loss =
         totals.examples > 0 ? totals.loss / static_cast<double>(totals.examples) : 0.0;
@@ -380,60 +400,40 @@ TrainResult run_training(TrainerState& state,
   return result;
 }
 
-/// Shared corpus-backed epoch driver: resolves the work-queue geometry
-/// and runs the chunk-indexed-RNG epoch loop (results depend only on
-/// (seed, grain), not on which worker claims which chunk). Used by both
-/// the cold-start and warm-start entry points, for RAM-resident and
-/// spooled corpora alike — the chunk geometry is a pure function of
-/// walk_count, so the two backings train bit-identically. Each worker
-/// owns a contiguous home range of chunks (parallel_for_dynamic) and
-/// steals only once it is drained: on a start-vertex-ordered corpus the
-/// workers then train different communities at once instead of sharing
-/// one community's output rows. Claiming order changes, results do not.
+/// Corpus-backed training: chunks of `grain` walks, resolved from
+/// walk_count alone, so RAM-resident and spooled corpora train
+/// bit-identically. Each worker owns a contiguous home range of chunks
+/// (parallel_for_dynamic) and steals only once it is drained: on a
+/// start-vertex-ordered corpus the workers then train different
+/// communities at once instead of sharing one community's output rows.
+/// Claiming order changes, results do not.
 TrainResult run_corpus_training(TrainerState& state,
                                 const walk::CorpusReader& corpus) {
-  const TrainConfig& config = state.config;
-  const std::size_t threads = std::max<std::size_t>(1, config.threads);
+  const std::size_t threads = std::max<std::size_t>(1, state.config.threads);
+  const std::size_t walks = corpus.walk_count();
   const std::size_t grain =
-      config.grain != 0 ? config.grain : default_grain(corpus.walk_count(), threads);
-  const std::size_t chunks = chunk_count(corpus.walk_count(), grain);
-  state.grain = grain;
-  state.chunks = chunks;
-  const Rng root(config.seed ^ 0xd1b54a32d192ed03ULL);
-
-  return run_training(state, [&](std::size_t epoch) {
-    std::vector<EpochShard> shards(chunks);
-    parallel_for_dynamic(
-        threads, corpus.walk_count(), grain,
-        [&](std::size_t /*worker*/, std::size_t chunk, std::size_t begin,
-            std::size_t end) {
-          // Kick off readahead for the whole chunk before the SGD loop
-          // starts faulting token pages one walk at a time (no-op for the
-          // in-RAM backing).
-          corpus.prefetch(begin, end);
-          SentenceTrainer trainer(state, root.fork(epoch * chunks + chunk));
-          for (std::size_t w = begin; w < end; ++w) {
-            trainer.train_sentence(corpus.walk(w));
-          }
-          shards[chunk] = trainer.finish();
-        });
-    EpochShard totals;
-    for (const auto& shard : shards) {
-      totals.loss += shard.loss;
-      totals.examples += shard.examples;
-    }
-    return totals;
-  });
+      state.config.grain != 0 ? state.config.grain : default_grain(walks, threads);
+  return run_training(
+      state, grain, chunk_count(walks, grain),
+      [&](std::size_t /*epoch*/, const ChunkTrainer& train_chunk) {
+        parallel_for_dynamic(
+            threads, walks, grain,
+            [&](std::size_t /*worker*/, std::size_t chunk, std::size_t begin,
+                std::size_t end) {
+              // Kick off readahead for the whole chunk before the SGD loop
+              // starts faulting token pages one walk at a time (no-op for
+              // the in-RAM corpus).
+              corpus.prefetch(begin, end);
+              train_chunk(chunk, [&](SentenceTrainer& trainer) {
+                for (std::size_t w = begin; w < end; ++w) {
+                  trainer.train_sentence(corpus.walk(w));
+                }
+              });
+            });
+      });
 }
 
 }  // namespace
-
-TrainResult train_embedding(const walk::Corpus& corpus, std::size_t vocab_size,
-                            const TrainConfig& config) {
-  const walk::InMemoryCorpus reader(corpus);
-  return train_embedding(static_cast<const walk::CorpusReader&>(reader),
-                         vocab_size, config);
-}
 
 TrainResult train_embedding(const walk::CorpusReader& corpus,
                             std::size_t vocab_size, const TrainConfig& config) {
@@ -456,15 +456,6 @@ TrainResult train_embedding(const walk::CorpusReader& corpus,
   TrainResult result = run_corpus_training(state, corpus);
   if (result.checkpoint) result.checkpoint->frequencies = frequencies;
   return result;
-}
-
-TrainResult train_embedding_resume(const walk::Corpus& corpus,
-                                   const Embedding& warm_start,
-                                   const TrainerCheckpoint& checkpoint,
-                                   const TrainConfig& config) {
-  const walk::InMemoryCorpus reader(corpus);
-  return train_embedding_resume(static_cast<const walk::CorpusReader&>(reader),
-                                warm_start, checkpoint, config);
 }
 
 TrainResult train_embedding_resume(const walk::CorpusReader& corpus,
@@ -596,42 +587,30 @@ TrainResult train_embedding_streaming(const graph::Graph& g,
   initialize_subsampling(state, std::span<const std::uint64_t>(frequencies),
                          total_proxy);
 
+  // The walk driver splits start vertices by this run's threads and grain;
+  // fresh walks every epoch: start vertex v draws from stream epoch*n + v.
   const walk::Walker walker(g, walk_config);
-  const std::size_t threads = std::max<std::size_t>(1, config.threads);
-  const std::size_t grain =
-      config.grain != 0 ? config.grain : default_grain(vocab_size, threads);
-  const std::size_t chunks = chunk_count(vocab_size, grain);
-  state.grain = grain;
-  state.chunks = chunks;
-  const Rng root(config.seed ^ 0xd1b54a32d192ed03ULL);
-  const Rng walk_root(config.seed ^ 0x94d049bb133111ebULL);
-
-  TrainResult result = run_training(state, [&](std::size_t epoch) {
-    std::vector<EpochShard> shards(chunks);
-    parallel_for_dynamic(
-        threads, vocab_size, grain,
-        [&](std::size_t /*worker*/, std::size_t chunk, std::size_t begin,
-            std::size_t end) {
-          SentenceTrainer trainer(state, root.fork(epoch * chunks + chunk));
-          std::vector<graph::VertexId> buffer;
-          buffer.reserve(walk_config.walk_length);
-          for (std::size_t v = begin; v < end; ++v) {
-            // Fresh walks every epoch, deterministic per (seed, epoch, v).
-            Rng walk_rng = walk_root.fork(epoch * vocab_size + v);
-            for (std::size_t w = 0; w < walk_config.walks_per_vertex; ++w) {
-              walker.walk_from(static_cast<graph::VertexId>(v), walk_rng, buffer);
-              trainer.train_sentence(buffer);
-            }
-          }
-          shards[chunk] = trainer.finish();
+  walk::WalkConfig layout = walk_config;
+  layout.threads = config.threads;
+  layout.grain = config.grain;
+  layout.metrics = nullptr;
+  const walk::CorpusDriver driver(vocab_size, layout, config.seed ^ 0x94d049bb133111ebULL);
+  const auto walk_from = std::bind_front(&walk::Walker::walk_from, &walker);
+  TrainResult result = run_training(
+      state, driver.grain(), driver.chunks(),
+      [&](std::size_t epoch, const ChunkTrainer& train_chunk) {
+        driver.run([&](const walk::WalkChunk& chunk) {
+          train_chunk(chunk.index, [&](SentenceTrainer& trainer) {
+            driver.walk_chunk(
+                walk_from, chunk,
+                [&](std::span<const graph::VertexId> walk) {
+                  trainer.train_sentence(walk);
+                },
+                epoch * vocab_size);
+          });
+          return std::size_t{0};  // no walk telemetry
         });
-    EpochShard totals;
-    for (const auto& shard : shards) {
-      totals.loss += shard.loss;
-      totals.examples += shard.examples;
-    }
-    return totals;
-  });
+      });
   if (result.checkpoint) result.checkpoint->frequencies = frequencies;
   return result;
 }

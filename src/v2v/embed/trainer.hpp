@@ -19,6 +19,13 @@
 // per-pair loss comes from the sigmoid table rather than std::log. None of
 // them changes the random stream or any 1-thread result.
 //
+// Training reads its sentences either from a corpus, through the
+// walk::CorpusReader interface (the RAM walk::Corpus or a disk spool), or
+// straight from the walk driver (walk::CorpusDriver) when streaming.
+// Both run one chunked epoch loop: chunk c of epoch e trains through a
+// trainer seeded from (seed, e, c), so a fixed (seed, grain) gives the
+// same 1-thread bits on the RAM corpus and on its spool.
+//
 // Early stopping reproduces the paper's Fig 7 behaviour (training time
 // decreases as community structure strengthens): when the relative
 // improvement of the mean epoch loss drops below `convergence_tol`,
@@ -144,19 +151,13 @@ struct TrainResult {
   std::optional<TrainerCheckpoint> checkpoint;
 };
 
-/// Trains vertex embeddings from a walk corpus. `vocab_size` must be at
-/// least max(token)+1; vertices that never appear in the corpus keep their
-/// small random initial vectors.
-[[nodiscard]] TrainResult train_embedding(const walk::Corpus& corpus,
-                                          std::size_t vocab_size,
-                                          const TrainConfig& config);
-
-/// Backing-agnostic variant: trains from any CorpusReader — the RAM
-/// corpus via walk::InMemoryCorpus or a disk spool via
-/// walk::SpooledCorpus. Chunk geometry and RNG streams depend only on
-/// (walk_count, seed, grain), so a fixed-seed run produces bit-identical
-/// results whichever backing serves the walks (exact with 1 thread;
-/// Hogwild-racy above).
+/// Trains vertex embeddings from a walk corpus: the RAM walk::Corpus or a
+/// disk spool (walk::SpooledCorpus). `vocab_size` must be at least
+/// max(token)+1; vertices that never appear in the corpus keep their
+/// small random initial vectors. Chunk geometry and RNG streams depend
+/// only on (walk_count, seed, grain), so a fixed-seed run produces
+/// bit-identical results whichever backing serves the walks (exact with 1
+/// thread; Hogwild-racy above).
 [[nodiscard]] TrainResult train_embedding(const walk::CorpusReader& corpus,
                                           std::size_t vocab_size,
                                           const TrainConfig& config);
@@ -172,13 +173,6 @@ struct TrainResult {
 /// set initial_lr = checkpoint.last_lr to continue the decayed schedule).
 /// The returned checkpoint (when captured) accumulates tokens_processed
 /// and refresh_rounds across runs.
-[[nodiscard]] TrainResult train_embedding_resume(const walk::Corpus& corpus,
-                                                 const Embedding& warm_start,
-                                                 const TrainerCheckpoint& checkpoint,
-                                                 const TrainConfig& config);
-
-/// Backing-agnostic warm-start variant (see the CorpusReader overload of
-/// train_embedding).
 [[nodiscard]] TrainResult train_embedding_resume(const walk::CorpusReader& corpus,
                                                  const Embedding& warm_start,
                                                  const TrainerCheckpoint& checkpoint,
@@ -187,8 +181,10 @@ struct TrainResult {
 /// Streaming variant: generates walks on the fly and trains on each walk
 /// immediately, never materializing the corpus. At the paper's full scale
 /// (t = l = 1000 on 1000 vertices) the corpus is ~10^9 tokens, far beyond
-/// memory; this path trains in O(vocab x dims) space instead. Fresh walks
-/// are drawn every epoch (a mild regularizer vs. the materialized path).
+/// memory; this path trains in O(vocab x dims) space instead. The walk
+/// driver splits the start vertices by this run's threads and grain, and
+/// fresh walks are drawn every epoch (a mild regularizer vs. the
+/// materialized path).
 /// The negative-sampling noise distribution and the Huffman tree use the
 /// weighted out-degree as the visit-frequency proxy — exact for uniform
 /// walks on undirected graphs (stationary distribution ~ degree) and a

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <initializer_list>
 #include <stdexcept>
 #include <string>
 
@@ -17,6 +16,8 @@
 
 namespace v2v::index {
 namespace {
+
+using store::checked_bytes;
 
 /// Rows sampled for quantizer training (deterministic under the seed).
 constexpr std::size_t kTrainSample = 20000;
@@ -32,19 +33,6 @@ void load_row(std::span<const float> src, std::span<float> dst, bool cosine) {
 [[noreturn]] void bad_sections(const std::string& detail) {
   throw store::SnapshotError(store::SnapshotErrorCode::kBadHeader,
                              "snapshot: " + detail);
-}
-
-/// The product of `factors`, or kBadHeader when it wraps: the shape a
-/// loaded section is checked against comes from untrusted header fields.
-std::size_t checked_bytes(std::initializer_list<std::size_t> factors) {
-  std::size_t product = 1;
-  for (const std::size_t f : factors) {
-    if (f != 0 && product > SIZE_MAX / f) {
-      bad_sections("section size overflows size_t");
-    }
-    product *= f;
-  }
-  return product;
 }
 
 /// Section `name`, which must hold exactly `bytes` bytes.

@@ -170,6 +170,18 @@ void throw_snapshot_error(SnapshotErrorCode code, const std::string& origin,
                                 snapshot_error_name(code) + "]");
 }
 
+std::size_t checked_bytes(std::initializer_list<std::uint64_t> factors) {
+  std::size_t product = 1;
+  for (const std::uint64_t f : factors) {
+    if (f != 0 && product > SIZE_MAX / f) {
+      throw SnapshotError(SnapshotErrorCode::kBadHeader,
+                          "snapshot: section size overflows size_t");
+    }
+    product *= static_cast<std::size_t>(f);
+  }
+  return product;
+}
+
 void encode_snapshot_header(const SnapshotHeader& h,
                             std::span<std::uint8_t> out) noexcept {
   V2V_CHECK(out.size() >= kHeaderBytes,

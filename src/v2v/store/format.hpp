@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <initializer_list>
 #include <iosfwd>
 #include <span>
 #include <stdexcept>
@@ -109,6 +110,11 @@ class SnapshotError : public std::runtime_error {
 [[noreturn]] void throw_snapshot_error(SnapshotErrorCode code,
                                        const std::string& origin,
                                        const std::string& detail);
+
+/// The product of `factors`, or SnapshotError(kBadHeader) when it wraps
+/// size_t: the size a loaded section is checked against comes from
+/// untrusted header fields.
+[[nodiscard]] std::size_t checked_bytes(std::initializer_list<std::uint64_t> factors);
 
 /// Decoded fixed header of a snapshot file.
 struct SnapshotHeader {

@@ -1,5 +1,7 @@
 #include "v2v/walk/corpus.hpp"
 
+#include <algorithm>
+
 namespace v2v::walk {
 
 void Corpus::append(const Corpus& other) {
@@ -32,6 +34,11 @@ void Corpus::append(Corpus&& other) {
   other.tokens_.clear();
   other.tokens_.shrink_to_fit();
   other.offsets_.assign(1, 0);
+}
+
+graph::VertexId Corpus::max_token() const noexcept {
+  if (tokens_.empty()) return 0;
+  return *std::max_element(tokens_.begin(), tokens_.end());
 }
 
 std::vector<std::uint64_t> Corpus::vertex_frequencies(std::size_t vocab) const {

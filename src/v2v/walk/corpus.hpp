@@ -1,17 +1,20 @@
-// A corpus of vertex sequences ("sentences") produced by random walks.
-// Stored flat (tokens + offsets) so the CBOW trainer streams it with zero
-// pointer chasing.
+// A corpus of vertex sequences ("sentences") produced by random walks,
+// held in RAM. Stored flat (tokens + offsets) so the CBOW trainer streams
+// it with zero pointer chasing, and read through the CorpusReader
+// interface like the disk spool. generate_corpus and the other RAM
+// producers fill it through CorpusDriver::collect (walker.hpp):
+// one shard per chunk of start vertices, merged in chunk order.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "v2v/graph/graph.hpp"
+#include "v2v/walk/corpus_reader.hpp"
 
 namespace v2v::walk {
 
-class Corpus {
+class Corpus final : public CorpusReader {
  public:
   Corpus() = default;
 
@@ -33,17 +36,26 @@ class Corpus {
   /// Shard merging uses this so peak memory is one corpus, not two.
   void append(Corpus&& other);
 
-  [[nodiscard]] std::size_t walk_count() const noexcept { return offsets_.size() - 1; }
-  [[nodiscard]] std::size_t token_count() const noexcept { return tokens_.size(); }
+  [[nodiscard]] std::size_t walk_count() const noexcept override {
+    return offsets_.size() - 1;
+  }
+  [[nodiscard]] std::size_t token_count() const noexcept override {
+    return tokens_.size();
+  }
 
-  [[nodiscard]] std::span<const graph::VertexId> walk(std::size_t i) const noexcept {
+  [[nodiscard]] std::span<const graph::VertexId> walk(
+      std::size_t i) const noexcept override {
     return {tokens_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
   }
 
   [[nodiscard]] std::span<const graph::VertexId> tokens() const noexcept { return tokens_; }
 
+  /// Scans every token (0 when there are none).
+  [[nodiscard]] graph::VertexId max_token() const noexcept override;
+
   /// Occurrence count per vertex id in [0, vocab); ids >= vocab are ignored.
-  [[nodiscard]] std::vector<std::uint64_t> vertex_frequencies(std::size_t vocab) const;
+  [[nodiscard]] std::vector<std::uint64_t> vertex_frequencies(
+      std::size_t vocab) const override;
 
  private:
   std::vector<graph::VertexId> tokens_;

@@ -1,7 +1,9 @@
-// Read-only corpus abstraction the trainer iterates. Two implementations:
-// InMemoryCorpus wraps the classic RAM-resident walk::Corpus, and
-// SpooledCorpus (corpus_spool.hpp) serves walks straight out of mmap'd
-// disk segments. The trainer's chunk geometry depends only on
+// Read-only corpus interface that the trainer, the walk-provenance index
+// and incremental regeneration iterate. Two implementations: walk::Corpus
+// (corpus.hpp) is the RAM-resident corpus itself, and SpooledCorpus
+// (corpus_spool.hpp) serves walks straight out of mmap'd disk segments.
+// Both hold the layout of the one corpus driver (CorpusDriver in
+// walker.hpp), and the trainer's chunk geometry depends only on
 // walk_count(), so a fixed-seed run produces the same epoch_loss
 // trajectory whichever implementation backs it.
 #pragma once
@@ -11,7 +13,7 @@
 #include <span>
 #include <vector>
 
-#include "v2v/walk/corpus.hpp"
+#include "v2v/graph/graph.hpp"
 
 namespace v2v::walk {
 
@@ -38,36 +40,8 @@ class CorpusReader {
 
   /// Locality hint: a worker is about to iterate walks [begin, end) in
   /// order. Disk-backed readers use it to madvise/prefetch the byte range;
-  /// the in-RAM reader ignores it.
-  virtual void prefetch(std::size_t begin, std::size_t end) const;
-};
-
-/// CorpusReader over a RAM-resident Corpus. Non-owning: the corpus must
-/// outlive the reader (the trainer holds both on its stack).
-class InMemoryCorpus final : public CorpusReader {
- public:
-  explicit InMemoryCorpus(const Corpus& corpus) : corpus_(corpus) {}
-  /// Binding a temporary would dangle; reject it at compile time.
-  explicit InMemoryCorpus(Corpus&&) = delete;
-
-  [[nodiscard]] std::size_t walk_count() const noexcept override {
-    return corpus_.walk_count();
-  }
-  [[nodiscard]] std::size_t token_count() const noexcept override {
-    return corpus_.token_count();
-  }
-  [[nodiscard]] std::span<const graph::VertexId> walk(
-      std::size_t i) const noexcept override {
-    return corpus_.walk(i);
-  }
-  [[nodiscard]] graph::VertexId max_token() const noexcept override;
-  [[nodiscard]] std::vector<std::uint64_t> vertex_frequencies(
-      std::size_t vocab) const override {
-    return corpus_.vertex_frequencies(vocab);
-  }
-
- private:
-  const Corpus& corpus_;
+  /// the in-RAM corpus ignores it.
+  virtual void prefetch(std::size_t /*begin*/, std::size_t /*end*/) const {}
 };
 
 }  // namespace v2v::walk

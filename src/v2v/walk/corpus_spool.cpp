@@ -6,9 +6,10 @@
 #include <cstring>
 #include <exception>
 #include <filesystem>
+#include <functional>
+#include <limits>
 #include <stdexcept>
 
-#include "v2v/common/thread_pool.hpp"
 #include "v2v/obs/metrics.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -57,6 +58,9 @@ SpoolStats generate_corpus_spooled(const graph::Graph& g,
         "generate_corpus_spooled: config.spool_dir must be set");
   }
   const obs::ScopedTimer span(config.metrics, "walk");
+  // One spool segment per chunk of the driver's split, so the
+  // concatenation of segments in chunk order is the in-RAM corpus.
+  const CorpusDriver driver(g.vertex_count(), config, seed);
   std::error_code ec;
   std::filesystem::create_directories(config.spool_dir, ec);
   if (ec) {
@@ -65,14 +69,9 @@ SpoolStats generate_corpus_spooled(const graph::Graph& g,
   }
 
   const Walker walker(g, config);
+  const auto walk_from = std::bind_front(&Walker::walk_from, &walker);
   const std::size_t n = g.vertex_count();
-  const std::size_t threads = std::max<std::size_t>(1, config.threads);
-  // Same split as generate_corpus: one spool segment per chunk, so the
-  // concatenation of segments in chunk order is the in-RAM corpus.
-  const std::size_t grain =
-      config.grain != 0 ? config.grain : default_grain(n, threads);
-  const std::size_t chunks = chunk_count(n, grain);
-  const std::size_t workers = std::min(threads, std::max<std::size_t>(1, chunks));
+  const std::size_t chunks = driver.chunks();
   const std::size_t buffer_mb =
       config.spool_buffer_mb != 0 ? config.spool_buffer_mb : 64;
   const std::size_t flush_tokens = std::max<std::size_t>(
@@ -81,60 +80,50 @@ SpoolStats generate_corpus_spooled(const graph::Graph& g,
   // Token frequencies accumulate per worker (u64 addition commutes, so
   // the merged table is schedule-independent); tokens are vertex ids < n.
   std::vector<std::vector<std::uint64_t>> worker_freq(
-      workers, std::vector<std::uint64_t>(n, 0));
+      driver.workers(), std::vector<std::uint64_t>(n, 0));
   std::vector<std::uint64_t> seg_walks(chunks, 0), seg_tokens(chunks, 0),
       seg_bytes(chunks, 0);
   std::vector<std::exception_ptr> errors(chunks);
   std::atomic<bool> failed{false};
 
-  const Rng root(seed);
-  parallel_for_dynamic(
-      threads, n, grain,
-      [&](std::size_t worker, std::size_t chunk, std::size_t begin, std::size_t end) {
-        if (failed.load(std::memory_order_relaxed)) return;
-        try {
-          store::StreamingSnapshotWriter writer(
-              spool_segment_path(config.spool_dir, chunk), {"ctok", "cofs"});
-          std::vector<std::uint64_t>& freq = worker_freq[worker];
-          std::vector<std::uint64_t> offsets;
-          offsets.reserve((end - begin) * config.walks_per_vertex + 1);
-          offsets.push_back(0);
-          std::vector<graph::VertexId> tokbuf;
-          tokbuf.reserve(std::min(flush_tokens + config.walk_length,
-                                  (end - begin) * config.walks_per_vertex *
-                                          config.walk_length +
-                                      config.walk_length));
-          std::vector<graph::VertexId> buffer;
-          buffer.reserve(config.walk_length);
-          for (std::size_t v = begin; v < end; ++v) {
-            // Per-vertex stream: identical walks to generate_corpus.
-            Rng rng = root.fork(v);
-            for (std::size_t w = 0; w < config.walks_per_vertex; ++w) {
-              walker.walk_from(static_cast<graph::VertexId>(v), rng, buffer);
-              for (const graph::VertexId token : buffer) ++freq[token];
-              tokbuf.insert(tokbuf.end(), buffer.begin(), buffer.end());
-              offsets.push_back(offsets.back() + buffer.size());
-              if (tokbuf.size() >= flush_tokens) {
-                writer.append(tokbuf.data(),
-                              tokbuf.size() * sizeof(graph::VertexId));
-                tokbuf.clear();
-              }
-            }
-          }
-          if (!tokbuf.empty()) {
-            writer.append(tokbuf.data(), tokbuf.size() * sizeof(graph::VertexId));
-          }
-          writer.next_section();
-          writer.append(offsets.data(), offsets.size() * sizeof(std::uint64_t));
-          writer.finish(offsets.size() - 1, 0);
-          seg_walks[chunk] = offsets.size() - 1;
-          seg_tokens[chunk] = offsets.back();
-          seg_bytes[chunk] = writer.bytes_written();
-        } catch (...) {
-          errors[chunk] = std::current_exception();
-          failed.store(true, std::memory_order_relaxed);
+  driver.run([&](const WalkChunk& chunk) -> std::size_t {
+    if (failed.load(std::memory_order_relaxed)) return 0;
+    try {
+      store::StreamingSnapshotWriter writer(
+          spool_segment_path(config.spool_dir, chunk.index), {"ctok", "cofs"});
+      std::vector<std::uint64_t>& freq = worker_freq[chunk.worker];
+      const std::size_t walks = (chunk.end - chunk.begin) * config.walks_per_vertex;
+      std::vector<std::uint64_t> offsets;
+      offsets.reserve(walks + 1);
+      offsets.push_back(0);
+      std::vector<graph::VertexId> tokbuf;
+      tokbuf.reserve(std::min(flush_tokens, walks * config.walk_length) +
+                     config.walk_length);
+      driver.walk_chunk(walk_from, chunk, [&](std::span<const graph::VertexId> walk) {
+        for (const graph::VertexId token : walk) ++freq[token];
+        tokbuf.insert(tokbuf.end(), walk.begin(), walk.end());
+        offsets.push_back(offsets.back() + walk.size());
+        if (tokbuf.size() >= flush_tokens) {
+          writer.append(tokbuf.data(), tokbuf.size() * sizeof(graph::VertexId));
+          tokbuf.clear();
         }
       });
+      if (!tokbuf.empty()) {
+        writer.append(tokbuf.data(), tokbuf.size() * sizeof(graph::VertexId));
+      }
+      writer.next_section();
+      writer.append(offsets.data(), offsets.size() * sizeof(std::uint64_t));
+      writer.finish(offsets.size() - 1, 0);
+      seg_walks[chunk.index] = offsets.size() - 1;
+      seg_tokens[chunk.index] = offsets.back();
+      seg_bytes[chunk.index] = writer.bytes_written();
+      return offsets.back();
+    } catch (...) {
+      errors[chunk.index] = std::current_exception();
+      failed.store(true, std::memory_order_relaxed);
+      return 0;
+    }
+  });
   for (const auto& error : errors) {
     if (error) std::rethrow_exception(error);
   }
@@ -177,18 +166,6 @@ SpoolStats generate_corpus_spooled(const graph::Graph& g,
 
   if (config.metrics != nullptr) {
     auto& m = *config.metrics;
-    m.counter("walk.walks").add(stats.walks);
-    m.counter("walk.tokens").add(stats.tokens);
-    m.counter("walk.steps").add(stats.tokens - stats.walks);
-    m.gauge("walk.seconds").set(span.seconds());
-    m.gauge("walk.grain").set(static_cast<double>(grain));
-    m.gauge("walk.chunks").set(static_cast<double>(chunks));
-    if (span.seconds() > 0.0) {
-      m.gauge("walk.walks_per_sec")
-          .set(static_cast<double>(stats.walks) / span.seconds());
-      m.gauge("walk.steps_per_sec")
-          .set(static_cast<double>(stats.tokens - stats.walks) / span.seconds());
-    }
     m.gauge("spool.segments").set(static_cast<double>(stats.segments));
     m.gauge("spool.bytes_written").set(static_cast<double>(stats.bytes_written));
     m.gauge("spool.buffer_mb").set(static_cast<double>(buffer_mb));
@@ -221,10 +198,16 @@ SpooledCorpus SpooledCorpus::open(const std::string& dir, store::MapMode mode) {
     out.total_walks_ = get_u64(smft, 2);
     out.total_tokens_ = get_u64(smft, 3);
     const std::uint64_t max_token = get_u64(smft, 4);
-    if (smft.size() !=
-        (kSmftFixedWords + 2 * segment_count) * sizeof(std::uint64_t)) {
+    // Expected section sizes come from these untrusted words, so each is
+    // computed with checked_bytes (kBadHeader where it would wrap).
+    if (smft.size() - kSmftFixedWords * sizeof(std::uint64_t) !=
+        store::checked_bytes({segment_count, 2, sizeof(std::uint64_t)})) {
       store::throw_snapshot_error(SnapshotErrorCode::kBadHeader, manifest_path,
                                   "spool meta size disagrees with segment count");
+    }
+    if (max_token > std::numeric_limits<graph::VertexId>::max()) {
+      store::throw_snapshot_error(SnapshotErrorCode::kBadHeader, manifest_path,
+                                  "spool max_token is not a vertex id");
     }
     seg_walks.reserve(segment_count);
     seg_tokens.reserve(segment_count);
@@ -236,7 +219,7 @@ SpooledCorpus SpooledCorpus::open(const std::string& dir, store::MapMode mode) {
     const auto sfrq = manifest.section("sfrq");
     const std::size_t expect_freq =
         out.total_tokens_ == 0 ? 0 : static_cast<std::size_t>(max_token) + 1;
-    if (sfrq.size() != expect_freq * sizeof(std::uint64_t)) {
+    if (sfrq.size() != store::checked_bytes({expect_freq, sizeof(std::uint64_t)})) {
       store::throw_snapshot_error(SnapshotErrorCode::kBadHeader, manifest_path,
                                   "spool frequency table size mismatch");
     }
@@ -259,8 +242,12 @@ SpooledCorpus SpooledCorpus::open(const std::string& dir, store::MapMode mode) {
     store::MappedSnapshot snap = store::MappedSnapshot::open(path, mode);
     const auto ctok = snap.section("ctok");
     const auto cofs = snap.section("cofs");
-    if (ctok.size() != seg_tokens[c] * sizeof(graph::VertexId) ||
-        cofs.size() != (seg_walks[c] + 1) * sizeof(std::uint64_t) ||
+    // cofs holds seg_walks + 1 offsets; comparing the bytes after the
+    // first one keeps that + 1 from wrapping too.
+    if (ctok.size() != store::checked_bytes({seg_tokens[c], sizeof(graph::VertexId)}) ||
+        cofs.size() < sizeof(std::uint64_t) ||
+        cofs.size() - sizeof(std::uint64_t) !=
+            store::checked_bytes({seg_walks[c], sizeof(std::uint64_t)}) ||
         snap.rows() != seg_walks[c]) {
       store::throw_snapshot_error(SnapshotErrorCode::kBadHeader, path,
                                   "segment shape disagrees with spool manifest");
@@ -277,6 +264,13 @@ SpooledCorpus SpooledCorpus::open(const std::string& dir, store::MapMode mode) {
         !std::is_sorted(offsets.begin(), offsets.end())) {
       store::throw_snapshot_error(SnapshotErrorCode::kBadHeader, path,
                                   "segment offsets malformed");
+    }
+    // The trainer sizes its vocabulary by max_token(), so a token above
+    // it would index past every per-vertex table.
+    if (std::any_of(tokens.begin(), tokens.end(),
+                    [&](graph::VertexId t) { return t > out.max_token_; })) {
+      store::throw_snapshot_error(SnapshotErrorCode::kBadHeader, path,
+                                  "segment token exceeds the manifest's max_token");
     }
     out.segments_.push_back(Segment{std::move(snap), tokens, offsets,
                                     static_cast<std::size_t>(walks_seen)});

@@ -22,12 +22,15 @@
 //     ctok: u32[tokens]      walk tokens (VertexId), concatenated
 //     cofs: u64[walks + 1]   walk boundaries into ctok, starting at 0
 //
-// Determinism: generate_corpus_spooled shards work exactly like
-// generate_corpus (same grain/chunk split, same per-vertex RNG streams),
-// writes one segment per chunk, and SpooledCorpus serves walks in
-// chunk-index order — so walk i's tokens are identical to the in-RAM
-// corpus's walk i, and a fixed-seed training run is bit-identical across
-// the two backings.
+// Determinism: generate_corpus_spooled runs on generate_corpus's walk
+// driver (CorpusDriver: same split, same per-vertex RNG streams) and
+// writes one segment per chunk where the RAM corpus keeps one shard;
+// SpooledCorpus serves walks in chunk-index order — so walk i's tokens are
+// identical to the in-RAM corpus's walk i, and a fixed-seed training run
+// is bit-identical across the two backings. SpooledCorpus::open checks
+// every size and token against the manifest, so a spool whose checksums
+// hold but whose counts lie fails with kBadHeader instead of serving
+// walks out of bounds.
 #pragma once
 
 #include <cstddef>
@@ -60,10 +63,11 @@ struct SpoolStats {
   std::uint64_t bytes_written = 0;  ///< segment + manifest file bytes
 };
 
-/// Runs the same deterministic sharded walk generation as generate_corpus
-/// but streams every chunk's walks into `config.spool_dir/seg-<chunk>`
-/// through a bounded buffer (config.spool_buffer_mb) instead of holding
-/// the corpus in RAM, then writes the manifest. The directory is created
+/// Runs generate_corpus's walk driver but streams every chunk's walks into
+/// `config.spool_dir/seg-<chunk>` through a bounded buffer
+/// (config.spool_buffer_mb) instead of holding the corpus in RAM, then
+/// writes the manifest. Records the same walk.* telemetry as
+/// generate_corpus plus the spool.* gauges. The directory is created
 /// if needed; pre-existing spool files are overwritten. Throws
 /// std::invalid_argument when config.spool_dir is empty and
 /// store::SnapshotError on I/O failure.

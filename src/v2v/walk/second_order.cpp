@@ -1,9 +1,11 @@
 #include "v2v/walk/second_order.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
-#include "v2v/common/thread_pool.hpp"
+#include "v2v/walk/walker.hpp"
+
 
 namespace v2v::walk {
 
@@ -71,36 +73,13 @@ void Node2VecWalker::walk_from(graph::VertexId start, Rng& rng,
 Corpus generate_corpus_node2vec(const graph::Graph& g, const Node2VecConfig& config,
                                 std::uint64_t seed) {
   const Node2VecWalker walker(g, config);
-  const std::size_t n = g.vertex_count();
-  const std::size_t threads = std::max<std::size_t>(1, config.threads);
-  const std::size_t grain =
-      config.grain != 0 ? config.grain : default_grain(n, threads);
-  const std::size_t chunks = chunk_count(n, grain);
-
-  // Same dynamic-queue shape as generate_corpus: per-chunk shards, merged
-  // in chunk order, so the corpus ordering is independent of scheduling.
-  std::vector<Corpus> shards(chunks);
-  const Rng root(seed);
-  parallel_for_dynamic(
-      threads, n, grain,
-      [&](std::size_t /*worker*/, std::size_t chunk, std::size_t begin,
-          std::size_t end) {
-        Corpus& shard = shards[chunk];
-        std::vector<graph::VertexId> buffer;
-        buffer.reserve(config.walk_length);
-        for (std::size_t v = begin; v < end; ++v) {
-          Rng rng = root.fork(v);
-          for (std::size_t w = 0; w < config.walks_per_vertex; ++w) {
-            walker.walk_from(static_cast<graph::VertexId>(v), rng, buffer);
-            shard.add_walk(buffer);
-          }
-        }
-      });
-
-  if (chunks == 1) return std::move(shards[0]);
-  Corpus merged;
-  for (auto& shard : shards) merged.append(std::move(shard));
-  return merged;
+  WalkConfig layout;
+  layout.walks_per_vertex = config.walks_per_vertex;
+  layout.walk_length = config.walk_length;
+  layout.threads = config.threads;
+  layout.grain = config.grain;
+  const CorpusDriver driver(g.vertex_count(), layout, seed);
+  return driver.collect(std::bind_front(&Node2VecWalker::walk_from, &walker));
 }
 
 }  // namespace v2v::walk

@@ -7,10 +7,6 @@
 
 namespace v2v::walk {
 
-WalkIndex::WalkIndex(const Corpus& corpus, std::size_t vertex_count)
-    : WalkIndex(static_cast<const CorpusReader&>(InMemoryCorpus(corpus)),
-                vertex_count) {}
-
 WalkIndex::WalkIndex(const CorpusReader& corpus, std::size_t vertex_count)
     : walk_count_(corpus.walk_count()) {
   V2V_CHECK(walk_count_ < std::numeric_limits<std::uint32_t>::max(),

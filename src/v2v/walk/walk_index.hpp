@@ -27,10 +27,9 @@ class WalkIndex {
 
   /// Indexes every walk of `corpus`. `vertex_count` bounds the vertex id
   /// space (tokens are vertex ids; all are < vertex_count by contract).
-  /// The reader form streams each walk once, so a disk-spooled corpus is
-  /// indexed without materializing it.
+  /// Each walk is streamed once, so a disk-spooled corpus is indexed
+  /// without materializing it.
   WalkIndex(const CorpusReader& corpus, std::size_t vertex_count);
-  WalkIndex(const Corpus& corpus, std::size_t vertex_count);
 
   [[nodiscard]] std::size_t vertex_count() const noexcept {
     return offsets_.empty() ? 0 : offsets_.size() - 1;

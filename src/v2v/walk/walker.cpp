@@ -1,6 +1,7 @@
 #include "v2v/walk/walker.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "v2v/common/thread_pool.hpp"
@@ -165,62 +166,80 @@ void Walker::walk_from(graph::VertexId start, Rng& rng,
   }
 }
 
-Corpus generate_corpus(const graph::Graph& g, const WalkConfig& config,
-                       std::uint64_t seed) {
-  const obs::ScopedTimer span(config.metrics, "walk");
-  const Walker walker(g, config);
-  const std::size_t n = g.vertex_count();
-  const std::size_t threads = std::max<std::size_t>(1, config.threads);
-  const std::size_t grain =
-      config.grain != 0 ? config.grain : default_grain(n, threads);
-  const std::size_t chunks = chunk_count(n, grain);
+CorpusDriver::CorpusDriver(std::size_t vertices, const WalkConfig& config,
+                           std::uint64_t seed)
+    : vertices_(vertices),
+      config_(config),
+      threads_(std::max<std::size_t>(1, config.threads)),
+      grain_(config.grain != 0 ? config.grain : default_grain(vertices, threads_)),
+      chunks_(chunk_count(vertices, grain_)),
+      root_(seed) {}
 
-  // One shard per chunk, merged in chunk order below: the corpus ordering
-  // is a pure function of (graph, config, seed, grain) — dynamic
-  // scheduling only decides which worker fills which shard, never where a
-  // shard lands in the output.
-  std::vector<Corpus> shards(chunks);
-  std::vector<std::size_t> worker_tokens(std::min(threads, std::max<std::size_t>(1, chunks)), 0);
-  const Rng root(seed);
+std::size_t CorpusDriver::workers() const noexcept {
+  return std::min(threads_, std::max<std::size_t>(1, chunks_));
+}
+
+void CorpusDriver::run(const ChunkFn& on_chunk) const {
+  std::vector<std::size_t> worker_tokens(workers(), 0);
   parallel_for_dynamic(
-      threads, n, grain,
+      threads_, vertices_, grain_,
       [&](std::size_t worker, std::size_t chunk, std::size_t begin, std::size_t end) {
-        Corpus& shard = shards[chunk];
-        shard.reserve((end - begin) * config.walks_per_vertex,
-                      (end - begin) * config.walks_per_vertex * config.walk_length);
-        std::vector<graph::VertexId> buffer;
-        buffer.reserve(config.walk_length);
-        for (std::size_t v = begin; v < end; ++v) {
-          // Per-vertex stream: deterministic regardless of scheduling.
-          Rng rng = root.fork(v);
-          for (std::size_t w = 0; w < config.walks_per_vertex; ++w) {
-            walker.walk_from(static_cast<graph::VertexId>(v), rng, buffer);
-            shard.add_walk(buffer);
-          }
-        }
-        worker_tokens[worker] += shard.token_count();
+        worker_tokens[worker] += on_chunk({worker, chunk, begin, end});
       });
+  if (config_.metrics == nullptr) return;
+  std::size_t tokens = 0;
+  for (const std::size_t t : worker_tokens) tokens += t;
+  const std::size_t walks = vertices_ * config_.walks_per_vertex;
+  record_corpus_metrics(*config_.metrics, walks, tokens, worker_tokens, timer_.seconds(),
+                        walks * config_.walk_length, grain_, chunks_);
+}
 
-  std::size_t walks = 0, tokens = 0;
-  for (const auto& shard : shards) {
-    walks += shard.walk_count();
-    tokens += shard.token_count();
+void CorpusDriver::walk_chunk(const WalkFn& walk_from, const WalkChunk& chunk,
+                              const WalkSink& sink, std::uint64_t stream_base,
+                              const std::function<bool(graph::VertexId)>& splice) const {
+  std::vector<graph::VertexId> buffer;
+  buffer.reserve(config_.walk_length);
+  for (std::size_t v = chunk.begin; v < chunk.end; ++v) {
+    const auto start = static_cast<graph::VertexId>(v);
+    if (splice && splice(start)) continue;
+    // Per-vertex stream: deterministic regardless of scheduling.
+    Rng rng = root_.fork(stream_base + v);
+    for (std::size_t w = 0; w < config_.walks_per_vertex; ++w) {
+      walk_from(start, rng, buffer);
+      sink(buffer);
+    }
   }
+}
 
-  if (config.metrics != nullptr) {
-    record_corpus_metrics(*config.metrics, walks, tokens, worker_tokens,
-                          span.seconds(),
-                          n * config.walks_per_vertex * config.walk_length, grain,
-                          chunks);
-  }
-
-  if (chunks == 1) return std::move(shards[0]);
+Corpus CorpusDriver::collect(
+    const WalkFn& walk_from,
+    const std::function<bool(graph::VertexId, Corpus&)>& splice) const {
+  std::vector<Corpus> shards(chunks_);
+  run([&](const WalkChunk& chunk) {
+    Corpus& shard = shards[chunk.index];
+    const std::size_t walks = (chunk.end - chunk.begin) * config_.walks_per_vertex;
+    shard.reserve(walks, walks * config_.walk_length);
+    walk_chunk(
+        walk_from, chunk,
+        [&](std::span<const graph::VertexId> walk) { shard.add_walk(walk); }, 0,
+        [&](graph::VertexId v) { return splice && splice(v, shard); });
+    return shard.token_count();
+  });
+  if (chunks_ == 1) return std::move(shards[0]);
   // Move-merge in chunk order: shard 0's storage is stolen wholesale and
   // each later shard is freed right after it is drained, so peak memory is
-  // roughly one corpus, not two (the old copy-merge held everything twice).
+  // roughly one corpus, not two.
   Corpus merged;
   for (auto& shard : shards) merged.append(std::move(shard));
   return merged;
+}
+
+Corpus generate_corpus(const graph::Graph& g, const WalkConfig& config,
+                       std::uint64_t seed) {
+  const obs::ScopedTimer span(config.metrics, "walk");
+  const CorpusDriver driver(g.vertex_count(), config, seed);
+  const Walker walker(g, config);
+  return driver.collect(std::bind_front(&Walker::walk_from, &walker));
 }
 
 }  // namespace v2v::walk

@@ -14,11 +14,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "v2v/common/rng.hpp"
+#include "v2v/common/timer.hpp"
 #include "v2v/graph/graph.hpp"
 #include "v2v/walk/alias_table.hpp"
 #include "v2v/walk/corpus.hpp"
@@ -53,9 +56,10 @@ struct WalkConfig {
   /// — and therefore the corpus ordering — depend only on this value, not
   /// on the thread count.
   std::size_t grain = 0;
-  /// Optional observability sink: generate_corpus records walk/step
-  /// throughput counters, per-shard balance, and a "walk" stage span into
-  /// it. Null (default) disables instrumentation.
+  /// Optional observability sink: generate_corpus and
+  /// generate_corpus_spooled record walk/step throughput counters,
+  /// per-shard balance, and a "walk" stage span into it. Null (default)
+  /// disables instrumentation.
   obs::MetricsRegistry* metrics = nullptr;
   /// When non-empty, corpus generation spools to disk segments under this
   /// directory instead of materializing the corpus in RAM (see
@@ -67,9 +71,10 @@ struct WalkConfig {
   std::size_t spool_buffer_mb = 64;
 };
 
-/// Runs walks from all start vertices and returns the merged corpus.
-/// Deterministic for a fixed (graph, config, seed) triple, including under
-/// multithreading: each start vertex owns an independent RNG stream.
+/// Runs walks from all start vertices and returns the merged corpus (the
+/// CorpusDriver layout below). Deterministic for a fixed (graph, config,
+/// seed) triple, including under multithreading: each start vertex owns
+/// an independent RNG stream.
 [[nodiscard]] Corpus generate_corpus(const graph::Graph& g, const WalkConfig& config,
                                      std::uint64_t seed);
 
@@ -101,6 +106,78 @@ class Walker {
   std::vector<AliasTable> alias_;
   bool use_alias_ = false;
   bool constrained_ = false;  // temporal filtering required per step
+};
+
+/// One chunk of start vertices [begin, end), as a worker receives it.
+struct WalkChunk {
+  std::size_t worker;  ///< < CorpusDriver::workers()
+  std::size_t index;   ///< chunk index: the RAM shard or spool segment
+  std::size_t begin;
+  std::size_t end;
+};
+
+/// The one place the corpus layout lives. Every corpus producer runs on a
+/// CorpusDriver — generate_corpus, generate_corpus_node2vec,
+/// generate_corpus_spooled, dynamic::regenerate_corpus_incremental and
+/// embed::train_embedding_streaming — which fixes what makes a corpus a
+/// pure function of (graph, walk parameters, seed, grain), whatever the
+/// thread count or schedule:
+///   - the start-vertex split: chunk c covers start vertices
+///     [c*grain, min((c+1)*grain, n)), grain 0 meaning
+///     default_grain(n, threads), run on parallel_for_dynamic;
+///   - the RNG: start vertex v draws its walks_per_vertex walks, in order,
+///     from the one stream root.fork(stream_base + v);
+///   - the RAM order: one shard per chunk, merged in chunk order.
+/// A producer keeps only what it does with a walk.
+class CorpusDriver {
+ public:
+  /// Draws one walk from a start vertex into `out`, e.g.
+  /// std::bind_front(&Walker::walk_from, &walker).
+  using WalkFn =
+      std::function<void(graph::VertexId, Rng&, std::vector<graph::VertexId>&)>;
+  /// Takes one walk; the span is valid only during the call.
+  using WalkSink = std::function<void(std::span<const graph::VertexId>)>;
+  /// Handles one chunk and returns the tokens it produced.
+  using ChunkFn = std::function<std::size_t(const WalkChunk&)>;
+
+  /// Lays out `vertices` start vertices by config's walks_per_vertex,
+  /// walk_length, threads and grain, with streams rooted at `seed`. The
+  /// walk telemetry goes to config.metrics when set; its walk.seconds
+  /// counts from here, so construct the driver before the walker.
+  CorpusDriver(std::size_t vertices, const WalkConfig& config, std::uint64_t seed);
+
+  [[nodiscard]] std::size_t grain() const noexcept { return grain_; }
+  [[nodiscard]] std::size_t chunks() const noexcept { return chunks_; }
+  /// Workers the chunks run on; every WalkChunk::worker is below this.
+  [[nodiscard]] std::size_t workers() const noexcept;
+
+  /// Runs `on_chunk` once per chunk on parallel_for_dynamic, then records
+  /// the walk telemetry from the token counts it returned.
+  void run(const ChunkFn& on_chunk) const;
+
+  /// Draws the walks of `chunk` in order, start vertex by start vertex,
+  /// vertex v's from the stream root.fork(stream_base + v), and hands each
+  /// to `sink`. A start vertex for which `splice(v)` returns true has been
+  /// supplied by the caller and is not walked.
+  void walk_chunk(const WalkFn& walk_from, const WalkChunk& chunk,
+                  const WalkSink& sink, std::uint64_t stream_base = 0,
+                  const std::function<bool(graph::VertexId)>& splice = {}) const;
+
+  /// The RAM corpus: every chunk's walks go to that chunk's shard, and the
+  /// shards are merged in chunk order. `splice(v, shard)` may append start
+  /// vertex v's block itself and return true instead of having it walked.
+  [[nodiscard]] Corpus collect(
+      const WalkFn& walk_from,
+      const std::function<bool(graph::VertexId, Corpus&)>& splice = {}) const;
+
+ private:
+  std::size_t vertices_;
+  WalkConfig config_;
+  std::size_t threads_;
+  std::size_t grain_;
+  std::size_t chunks_;
+  Rng root_;
+  WallTimer timer_;
 };
 
 }  // namespace v2v::walk

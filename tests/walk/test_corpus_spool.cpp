@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -109,8 +110,7 @@ TEST_F(CorpusSpoolTest, InMemoryCorpusAdapterMatchesWrappedCorpus) {
   // the wrapped Corpus, including the default no-op prefetch.
   const graph::Graph g = graph::make_ring(25);
   const Corpus ram = generate_corpus(g, spool_config(), 13);
-  const InMemoryCorpus reader(ram);
-  const CorpusReader& base = reader;
+  const CorpusReader& base = ram;
   EXPECT_EQ(base.walk_count(), ram.walk_count());
   EXPECT_EQ(base.token_count(), ram.token_count());
   EXPECT_EQ(base.max_token(), 24u);
@@ -125,7 +125,7 @@ TEST_F(CorpusSpoolTest, InMemoryCorpusAdapterMatchesWrappedCorpus) {
                           b.size() * sizeof(graph::VertexId)));
   }
   const Corpus empty;
-  const InMemoryCorpus empty_reader(empty);
+  const CorpusReader& empty_reader = empty;
   EXPECT_EQ(empty_reader.max_token(), 0u);
   EXPECT_EQ(empty_reader.token_count(), 0u);
 }
@@ -323,6 +323,59 @@ TEST_F(CorpusSpoolTest, TamperedManifestTotalsFail) {
   manifest.add_section("smft", std::move(smft));
   manifest.add_section("sfrq", std::move(sfrq));
   manifest.write(spool_manifest_path(dir_));
+  EXPECT_EQ(open_error(), SnapshotErrorCode::kBadHeader);
+}
+
+/// Writes a one-segment spool whose every container checksum is valid:
+/// manifest words `smft` and frequency table `sfrq`, and a segment with
+/// header rows `rows` holding `sections` in order.
+void write_crafted_spool(
+    const std::string& dir, const std::vector<std::uint64_t>& smft,
+    const std::vector<std::uint64_t>& sfrq, std::uint64_t rows,
+    std::vector<std::pair<std::string, std::vector<std::uint8_t>>> sections) {
+  fs::create_directories(dir);
+  const auto bytes_of = [](const std::vector<std::uint64_t>& words) {
+    std::vector<std::uint8_t> out(words.size() * sizeof(std::uint64_t));
+    std::memcpy(out.data(), words.data(), out.size());
+    return out;
+  };
+  store::SnapshotBuilder manifest(smft[2], 0);
+  manifest.add_section("smft", bytes_of(smft));
+  manifest.add_section("sfrq", bytes_of(sfrq));
+  manifest.write(spool_manifest_path(dir));
+  store::SnapshotBuilder segment(rows, 0);
+  for (auto& [name, payload] : sections) {
+    segment.add_section(name, std::move(payload));
+  }
+  segment.write(spool_segment_path(dir, 0));
+}
+
+TEST_F(CorpusSpoolTest, WrappingSectionSizesFail) {
+  // 2^61 - 1 walks and 2^62 tokens: (walks + 1) * 8 and tokens * 4 both
+  // wrap to 0, so empty ctok/cofs sections would pass a plain size check.
+  // The 64-byte section in front of them ends in 2^62, where a wrapped
+  // offsets span would find its last entry.
+  constexpr std::uint64_t kWalks = (std::uint64_t{1} << 61) - 1;
+  constexpr std::uint64_t kTokens = std::uint64_t{1} << 62;
+  std::vector<std::uint8_t> pad(64, 0);
+  std::memcpy(pad.data() + 56, &kTokens, sizeof(kTokens));
+  write_crafted_spool(dir_, {kSpoolFormatVersion, 1, kWalks, kTokens, 0, kWalks, kTokens},
+                      {kTokens}, kWalks,
+                      {{"pad", std::move(pad)}, {"ctok", {}}, {"cofs", {}}});
+  EXPECT_EQ(open_error(), SnapshotErrorCode::kBadHeader);
+}
+
+TEST_F(CorpusSpoolTest, TokenAboveManifestMaxTokenFails) {
+  // A consistent manifest (one walk, two tokens, max_token 1) over a walk
+  // whose second token is far outside the vocabulary max_token promises.
+  const std::vector<graph::VertexId> tokens = {0, 400000000};
+  const std::vector<std::uint64_t> offsets = {0, 2};
+  std::vector<std::uint8_t> ctok(tokens.size() * sizeof(graph::VertexId));
+  std::memcpy(ctok.data(), tokens.data(), ctok.size());
+  std::vector<std::uint8_t> cofs(offsets.size() * sizeof(std::uint64_t));
+  std::memcpy(cofs.data(), offsets.data(), cofs.size());
+  write_crafted_spool(dir_, {kSpoolFormatVersion, 1, 1, 2, 1, 1, 2}, {1, 1}, 1,
+                      {{"ctok", std::move(ctok)}, {"cofs", std::move(cofs)}});
   EXPECT_EQ(open_error(), SnapshotErrorCode::kBadHeader);
 }
 

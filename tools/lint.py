@@ -47,9 +47,10 @@ Enforced on src/ (and partially on tests/ and bench/, see each rule):
       by-value walk::Corpus or calling generate_corpus() inside the
       trainer pulls the full token stream into RAM and silently defeats
       the out-of-core spool. The trainer consumes walks through the
-      walk::CorpusReader interface (InMemoryCorpus / SpooledCorpus);
-      `const Corpus&` parameters stay legal (they borrow, they do not
-      materialize)
+      walk::CorpusReader interface (the RAM walk::Corpus, itself a
+      CorpusReader, or SpooledCorpus) and the streaming path through
+      walk::CorpusDriver; `const Corpus&` parameters stay legal (they
+      borrow, they do not materialize)
 
 Usage: tools/lint.py [--root REPO_ROOT]
 Exit code 0 = clean, 1 = findings (printed one per line as
@@ -164,8 +165,9 @@ GRAPH_BUILDER_ALLOWLIST: set[str] = set()
 # no & or *, so `const Corpus&` parameters stay legal) or a
 # generate_corpus() call inside the embed layer materializes the whole
 # token stream in RAM. generate_corpus_spooled does not match (the \(
-# anchor sits right after the name), and InMemoryCorpus/SpooledCorpus do
-# not match (\b fails mid-identifier).
+# anchor sits right after the name), and neither do SpooledCorpus (\b
+# fails mid-identifier) nor CorpusReader/CorpusDriver (no whitespace
+# right after "Corpus").
 CORPUS_MATERIALIZE_RE = re.compile(
     r"\bCorpus\s+[A-Za-z_]|\bgenerate_corpus\s*\(")
 CORPUS_MATERIALIZE_SCOPE = "src/v2v/embed/"
