@@ -1,6 +1,6 @@
-// Dynamic-refresh quality/time gate: incremental refresh (dirty-walk
-// regeneration + warm-start continued SGD) vs a from-scratch full retrain
-// on the identical churned graph.
+// Dynamic-refresh quality/time gate: warm refresh (the churned graph's
+// walk corpus + a few epochs of continued SGD from the checkpoint) vs a
+// from-scratch full retrain on the identical churned graph and corpus.
 //
 // Two RefreshSessions start from the same planted-partition graph and the
 // same master seed, so their bootstrap corpora and embeddings are

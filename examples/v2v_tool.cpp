@@ -9,7 +9,7 @@
 //   v2v_tool refresh <model.v2v> <edges.txt> <deltas.txt> --output=new.v2v
 //            [--save-edges=new_edges.txt] [--full-retrain]
 //            [--refresh-epochs=2] [--refresh-lr=x] [--epochs=N]
-//            [--corpus-spool=<dir>]        (spooled old-corpus replay)
+//            [--corpus-spool=<dir>]        (out-of-core walk corpus)
 //   v2v_tool communities <edges.txt> [--k=10] [--auto-k] [--threads=N]
 //            [--method=v2v|cnm|gn|louvain|lp]
 //   v2v_tool predict <vectors.txt> <labels.txt> [--k=3] [--folds=10]
@@ -188,7 +188,7 @@ int cmd_refresh(const CliArgs& args) {
   walk_config.walks_per_vertex = checkpoint.walks_per_vertex;
   walk_config.walk_length = checkpoint.walk_length;
   walk_config.threads = threads;
-  // Replay the old corpus through a disk spool instead of RAM.
+  // Spool the refreshed corpus to disk and train off it instead of RAM.
   walk_config.spool_dir = args.get("corpus-spool", "");
   embed::TrainConfig train_config;
   train_config.dimensions = checkpoint.dimensions;
@@ -226,13 +226,9 @@ int cmd_refresh(const CliArgs& args) {
 
   const auto stats =
       args.get_bool("full-retrain") ? session.full_retrain() : session.refresh();
-  std::fprintf(stderr,
-               "%s: %zu dirty vertices, %zu/%zu walk blocks regenerated, "
-               "%.2fs walks + %.2fs training\n",
+  std::fprintf(stderr, "%s: %zu dirty vertices, %.2fs walks + %.2fs training\n",
                stats.full_retrain ? "full retrain" : "refresh",
-               stats.dirty_vertices, stats.regenerated_starts,
-               stats.regenerated_starts + stats.reused_starts,
-               stats.walk_seconds, stats.train_seconds);
+               stats.dirty_vertices, stats.walk_seconds, stats.train_seconds);
 
   write_checkpoint_snapshot(output, session.embedding(), session.checkpoint());
   std::fprintf(stderr, "wrote resume-capable snapshot %s\n", output.c_str());

@@ -33,8 +33,9 @@ V2VModel learn_embedding(const graph::Graph& g, const V2VConfig& config) {
     train_config.seed = splitmix64(sm);
   }
 
-  // Pick the corpus once: streamed, spooled or RAM-resident. The
-  // checkpoint's walk identity is stamped once, after the choice.
+  // Pick the corpus once: streamed, or spooled or RAM-resident through
+  // walk::with_corpus. The checkpoint's walk identity is stamped once,
+  // after the choice.
   embed::TrainResult result;
   if (config.streaming) {
     // Walk generation happens inside the trainer; walk_seconds stays 0,
@@ -43,28 +44,14 @@ V2VModel learn_embedding(const graph::Graph& g, const V2VConfig& config) {
     train_config.seed ^= walk_seed;
     result = embed::train_embedding_streaming(g, walk_config, train_config);
     model.corpus_walks = g.vertex_count() * walk_config.walks_per_vertex;
-  } else if (!walk_config.spool_dir.empty()) {
-    // Out-of-core path: walks stream to disk segments as they are
-    // generated, then training reads them back through the mmap'd
-    // SpooledCorpus. The spool has the layout of generate_corpus's walk
-    // driver, so a fixed seed produces the same epoch_loss trajectory
-    // either way.
-    WallTimer timer;
-    const walk::SpoolStats stats =
-        walk::generate_corpus_spooled(g, walk_config, walk_seed);
-    model.walk_seconds = timer.seconds();
-    model.corpus_walks = stats.walks;
-    model.corpus_tokens = stats.tokens;
-    const walk::SpooledCorpus corpus =
-        walk::SpooledCorpus::open(walk_config.spool_dir);
-    result = embed::train_embedding(corpus, g.vertex_count(), train_config);
   } else {
-    WallTimer timer;
-    const walk::Corpus corpus = walk::generate_corpus(g, walk_config, walk_seed);
-    model.walk_seconds = timer.seconds();
-    model.corpus_walks = corpus.walk_count();
-    model.corpus_tokens = corpus.token_count();
-    result = embed::train_embedding(corpus, g.vertex_count(), train_config);
+    const walk::CorpusRun run = walk::with_corpus(
+        g, walk_config, walk_seed, [&](const walk::CorpusReader& corpus) {
+          result = embed::train_embedding(corpus, g.vertex_count(), train_config);
+        });
+    model.walk_seconds = run.walk_seconds;
+    model.corpus_walks = run.walks;
+    model.corpus_tokens = run.tokens;
   }
   model.train_seconds = result.stats.train_seconds;
   model.train_stats = std::move(result.stats);

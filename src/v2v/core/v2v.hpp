@@ -43,7 +43,7 @@ struct V2VConfig {
   /// overwritten by the detect_communities argument. Config-file keys:
   /// kmeans.threads, kmeans.restarts, kmeans.assign.
   ml::KMeansConfig kmeans;
-  /// Incremental-refresh knobs for dynamic::RefreshSession (config-file
+  /// Warm-refresh knobs for dynamic::RefreshSession (config-file
   /// keys refresh.epochs, refresh.initial_lr, refresh.compact_min_delta,
   /// refresh.compact_ratio). Ignored by plain learn_embedding.
   dynamic::RefreshTuning refresh;

@@ -9,8 +9,9 @@
 // which makes the compacted CSR *bit-identical* to building a fresh
 // graph from the merged edge set (tested in tests/dynamic/).
 //
-// Every mutation marks both endpoints dirty; the refresh pipeline
-// drains the dirty set to decide which walks to regenerate. All public
+// Every mutation marks both endpoints dirty; a refresh round drains the
+// dirty set only to report its size (RefreshStats::dirty_vertices) —
+// every round walks the whole compacted graph. All public
 // methods are thread-safe (internal v2v::Mutex, rank kDynamicGraph);
 // the one exception is base(), which returns a reference that is only
 // stable while no thread compacts — see its comment.

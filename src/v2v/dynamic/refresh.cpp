@@ -7,7 +7,7 @@
 #include "v2v/common/rng.hpp"
 #include "v2v/common/timer.hpp"
 #include "v2v/obs/metrics.hpp"
-#include "v2v/walk/walker.hpp"
+#include "v2v/walk/corpus_spool.hpp"
 
 namespace v2v::dynamic {
 
@@ -38,9 +38,7 @@ RefreshSession::RefreshSession(DynamicGraph graph,
   (void)graph_.drain_dirty();
   V2V_CHECK(graph_.vertex_count() > 0, "RefreshSession: empty graph");
 
-  regenerate_corpus();
-  rebuild_index();
-  (void)train_cold();
+  (void)train(/*cold=*/true);
 }
 
 RefreshSession::RefreshSession(DynamicGraph graph, embed::Embedding warm_start,
@@ -64,53 +62,40 @@ RefreshSession::RefreshSession(DynamicGraph graph, embed::Embedding warm_start,
   if (train_config_.metrics == nullptr) train_config_.metrics = metrics_;
   if (walk_config_.metrics == nullptr) walk_config_.metrics = metrics_;
 
+  // Each round walks the graph anew, so from here on the session is
+  // indistinguishable from one that never exited.
   graph_.compact();
   (void)graph_.drain_dirty();
   V2V_CHECK(graph_.vertex_count() > 0, "RefreshSession: empty graph");
-
-  // Deterministically replay the corpus the snapshot was trained on; from
-  // here on the session is indistinguishable from one that never exited.
-  regenerate_corpus();
-  rebuild_index();
 }
 
-void RefreshSession::regenerate_corpus() {
-  if (!walk_config_.spool_dir.empty()) {
-    // Out-of-core replay: walks stream to disk and are read back mmap'd,
-    // so peak RSS stays O(spool buffer) instead of O(corpus). The spool
-    // holds the exact generate_corpus token stream (same seed, same
-    // sharding), preserving the session's replay invariant.
-    (void)walk::generate_corpus_spooled(graph_.base(), walk_config_,
-                                        walk_seed_);
-    spool_.emplace(walk::SpooledCorpus::open(walk_config_.spool_dir));
-    corpus_ = walk::Corpus();
-    return;
-  }
-  spool_.reset();
-  corpus_ = walk::generate_corpus(graph_.base(), walk_config_, walk_seed_);
-}
-
-const walk::CorpusReader& RefreshSession::session_corpus() const noexcept {
-  if (spool_) return *spool_;
-  return corpus_;
-}
-
-void RefreshSession::rebuild_index() {
-  index_ = walk::WalkIndex(session_corpus(), graph_.base().vertex_count());
-}
-
-embed::TrainStats RefreshSession::train_cold() {
-  embed::TrainConfig config = train_config_;
-  config.capture_checkpoint = true;
-  auto result =
-      embed::train_embedding(session_corpus(), graph_.base().vertex_count(), config);
+RefreshStats RefreshSession::train(bool cold) {
+  RefreshStats stats;
+  embed::TrainResult result;
+  const walk::CorpusRun run = walk::with_corpus(
+      graph_.base(), walk_config_, walk_seed_, [&](const walk::CorpusReader& corpus) {
+        const WallTimer train_timer;
+        if (cold) {
+          embed::TrainConfig config = train_config_;
+          config.capture_checkpoint = true;
+          result = embed::train_embedding(corpus, graph_.base().vertex_count(), config);
+        } else {
+          result = embed::train_embedding_resume(corpus, embedding_, checkpoint_,
+                                                 refresh_train_config());
+        }
+        stats.train_seconds = train_timer.seconds();
+      });
+  stats.walk_seconds = run.walk_seconds;
   embedding_ = std::move(result.embedding);
   checkpoint_ = std::move(*result.checkpoint);
-  // A cold start begins a fresh lineage with the session's walk identity.
-  checkpoint_.walks_per_vertex = walk_config_.walks_per_vertex;
-  checkpoint_.walk_length = walk_config_.walk_length;
-  checkpoint_.walk_seed = walk_seed_;
-  return std::move(result.stats);
+  if (cold) {
+    // A cold start begins a fresh lineage with the session's walk identity.
+    checkpoint_.walks_per_vertex = walk_config_.walks_per_vertex;
+    checkpoint_.walk_length = walk_config_.walk_length;
+    checkpoint_.walk_seed = walk_seed_;
+  }
+  stats.train = std::move(result.stats);
+  return stats;
 }
 
 embed::TrainConfig RefreshSession::refresh_train_config() const {
@@ -131,58 +116,17 @@ embed::TrainConfig RefreshSession::refresh_train_config() const {
   return config;
 }
 
-RefreshStats RefreshSession::refresh() {
-  WallTimer total_timer;
-  RefreshStats stats;
+RefreshStats RefreshSession::refresh() { return run_round(/*cold=*/false); }
 
-  const auto dirty = graph_.drain_dirty();
-  stats.dirty_vertices = dirty.size();
+RefreshStats RefreshSession::full_retrain() { return run_round(/*cold=*/true); }
+
+RefreshStats RefreshSession::run_round(bool cold) {
+  const WallTimer total_timer;
+  const std::size_t dirty = graph_.drain_dirty().size();
   graph_.compact();
-
-  WallTimer walk_timer;
-  // Splice from whichever backing currently holds the session corpus;
-  // the merged result is RAM-resident either way, so a spooled session
-  // pays the disk read exactly once.
-  auto incremental = regenerate_corpus_incremental(
-      graph_.base(), walk_config_, walk_seed_, session_corpus(), index_,
-      std::span<const graph::VertexId>(dirty));
-  stats.walk_seconds = walk_timer.seconds();
-  stats.regenerated_starts = incremental.regenerated_starts;
-  stats.reused_starts = incremental.reused_starts;
-  stats.invalidated_walks = incremental.invalidated_walks;
-  corpus_ = std::move(incremental.corpus);
-  spool_.reset();
-  rebuild_index();
-
-  WallTimer train_timer;
-  auto result = embed::train_embedding_resume(corpus_, embedding_, checkpoint_,
-                                              refresh_train_config());
-  stats.train_seconds = train_timer.seconds();
-  embedding_ = std::move(result.embedding);
-  checkpoint_ = std::move(*result.checkpoint);
-  stats.train = std::move(result.stats);
-  stats.total_seconds = total_timer.seconds();
-  record_stats(stats);
-  return stats;
-}
-
-RefreshStats RefreshSession::full_retrain() {
-  WallTimer total_timer;
-  RefreshStats stats;
-  stats.full_retrain = true;
-
-  stats.dirty_vertices = graph_.drain_dirty().size();
-  graph_.compact();
-
-  WallTimer walk_timer;
-  regenerate_corpus();
-  stats.walk_seconds = walk_timer.seconds();
-  stats.regenerated_starts = graph_.base().vertex_count();
-  rebuild_index();
-
-  WallTimer train_timer;
-  stats.train = train_cold();
-  stats.train_seconds = train_timer.seconds();
+  RefreshStats stats = train(cold);
+  stats.dirty_vertices = dirty;
+  stats.full_retrain = cold;
   stats.total_seconds = total_timer.seconds();
   record_stats(stats);
   return stats;
@@ -195,12 +139,6 @@ void RefreshSession::record_stats(const RefreshStats& stats) const {
       .add(1);
   metrics_->gauge("dynamic.dirty_vertices")
       .set(static_cast<double>(stats.dirty_vertices));
-  metrics_->gauge("dynamic.regenerated_starts")
-      .set(static_cast<double>(stats.regenerated_starts));
-  metrics_->gauge("dynamic.reused_starts")
-      .set(static_cast<double>(stats.reused_starts));
-  metrics_->gauge("dynamic.invalidated_walks")
-      .set(static_cast<double>(stats.invalidated_walks));
   metrics_->gauge("dynamic.walk_seconds").set(stats.walk_seconds);
   metrics_->gauge("dynamic.train_seconds").set(stats.train_seconds);
   metrics_->gauge("dynamic.total_seconds").set(stats.total_seconds);

@@ -1,19 +1,22 @@
 // The dynamic-refresh driver: edge churn in, refreshed embedding out.
 //
-// A RefreshSession owns the DynamicGraph, the current corpus + walk
-// provenance index, the embedding, and the trainer checkpoint. Each
-// refresh() round:
+// A RefreshSession owns the DynamicGraph, its walk and train configs, the
+// walk seed, the embedding and the trainer checkpoint. It keeps no corpus:
+// the bootstrap, each refresh() round and each full_retrain() build the
+// corpus of the compacted graph, train on it and drop it. A refresh()
+// round:
 //
-//   drain dirty set -> compact the graph -> regenerate only the walk
-//   blocks that touched a dirty vertex (incremental_walks.hpp) ->
-//   continue SGD from the warm embedding + checkpoint
-//   (embed::train_embedding_resume) for a few cheap epochs.
+//   drain dirty set -> compact the graph -> generate the corpus of
+//   graph.base() at the walk seed (walk::with_corpus: spooled when
+//   walk_config.spool_dir is set, in RAM otherwise) -> continue SGD from
+//   the warm embedding + checkpoint (embed::train_embedding_resume) for a
+//   few cheap epochs -> drop the corpus.
 //
-// Invariant maintained across rounds: the session corpus always equals
-// walk::generate_corpus(graph.base(), walk_config, walk_seed) exactly —
-// incremental regeneration is an optimization, never an approximation.
-// full_retrain() is the A/B escape hatch: same walk seed, cold-start
-// training, resets the warm-start lineage.
+// So every round trains on walk::generate_corpus(graph.base(),
+// walk_config, walk_seed) by construction: there is no stored corpus to
+// fall out of step with the graph. full_retrain() is the A/B escape
+// hatch: same walk seed, cold-start training, resets the warm-start
+// lineage.
 //
 // Mutations applied BEFORE the session is constructed are part of the
 // baseline (the constructor compacts and clears the dirty set); only
@@ -21,14 +24,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 
 #include "v2v/dynamic/dynamic_graph.hpp"
-#include "v2v/dynamic/incremental_walks.hpp"
 #include "v2v/embed/trainer.hpp"
-#include "v2v/walk/corpus_spool.hpp"
-#include "v2v/walk/walk_index.hpp"
+#include "v2v/walk/walker.hpp"
 
 namespace v2v::obs {
 class MetricsRegistry;
@@ -36,7 +36,7 @@ class MetricsRegistry;
 
 namespace v2v::dynamic {
 
-/// Knobs of the incremental-refresh path (config-file keys refresh.*).
+/// Knobs of the warm refresh path (config-file keys refresh.*).
 struct RefreshTuning {
   /// Continued-SGD passes per refresh (count; a fraction of a full
   /// retrain's epochs is the whole point).
@@ -54,10 +54,7 @@ struct RefreshTuning {
 };
 
 struct RefreshStats {
-  std::size_t dirty_vertices = 0;      ///< drained this round
-  std::size_t regenerated_starts = 0;  ///< walk blocks re-walked
-  std::size_t reused_starts = 0;       ///< walk blocks spliced through
-  std::size_t invalidated_walks = 0;   ///< old walks discarded
+  std::size_t dirty_vertices = 0;  ///< drained this round
   double walk_seconds = 0.0;
   double train_seconds = 0.0;
   double total_seconds = 0.0;
@@ -76,11 +73,11 @@ class RefreshSession {
                  const RefreshTuning& tuning, std::uint64_t seed,
                  obs::MetricsRegistry* metrics = nullptr);
 
-  /// Resume: picks up a persisted embedding + checkpoint (snapshot v3).
-  /// `graph` must hold the edge set the snapshot was trained on, in the
-  /// original insertion order; the old corpus is regenerated
-  /// deterministically from checkpoint.walk_seed. walk_config must agree
-  /// with the checkpoint's walks_per_vertex/walk_length.
+  /// Resume: picks up a persisted embedding + checkpoint (snapshot v3)
+  /// and runs no walk. `graph` must hold the edge set the snapshot was
+  /// trained on, in the original insertion order; later rounds walk it at
+  /// checkpoint.walk_seed. walk_config must agree with the checkpoint's
+  /// walks_per_vertex/walk_length.
   RefreshSession(DynamicGraph graph, embed::Embedding warm_start,
                  embed::TrainerCheckpoint checkpoint,
                  const walk::WalkConfig& walk_config,
@@ -93,11 +90,11 @@ class RefreshSession {
     return graph_.apply(deltas);
   }
 
-  /// Incremental refresh: dirty walks + continued SGD. No-op-ish when
-  /// nothing is dirty (still retrains tuning.epochs over the corpus).
+  /// Warm refresh: the corpus of the compacted graph + tuning.epochs of
+  /// continued SGD. Still retrains when nothing is dirty.
   RefreshStats refresh();
 
-  /// Full regeneration + cold-start retrain (A/B escape hatch).
+  /// The same corpus + cold-start retrain (A/B escape hatch).
   RefreshStats full_retrain();
 
   [[nodiscard]] DynamicGraph& graph() noexcept { return graph_; }
@@ -108,30 +105,18 @@ class RefreshSession {
   [[nodiscard]] const embed::TrainerCheckpoint& checkpoint() const noexcept {
     return checkpoint_;
   }
-  /// The RAM-resident session corpus. Empty while the corpus lives in the
-  /// disk spool (walk_config.spool_dir set and no refresh() round has
-  /// materialized it yet) — check spooled() first.
-  [[nodiscard]] const walk::Corpus& corpus() const noexcept { return corpus_; }
-  /// True while the session corpus is backed by the disk spool instead of
-  /// corpus_. Bootstrap/resume with walk_config.spool_dir set starts
-  /// spooled; the first refresh() materializes the merged corpus in RAM.
-  [[nodiscard]] bool spooled() const noexcept { return spool_.has_value(); }
-  [[nodiscard]] const walk::WalkConfig& walk_config() const noexcept {
-    return walk_config_;
-  }
   [[nodiscard]] std::uint64_t walk_seed() const noexcept { return walk_seed_; }
 
  private:
-  /// (Re)creates the session corpus from graph_.base() at walk_seed_:
-  /// spooled to walk_config_.spool_dir when set, RAM-resident otherwise.
-  void regenerate_corpus();
-  /// The live session corpus: the spool while spooled(), else corpus_.
-  [[nodiscard]] const walk::CorpusReader& session_corpus() const noexcept;
-  void rebuild_index();
-  /// Cold-start training on the session corpus (bootstrap and
-  /// full_retrain): replaces the embedding and checkpoint, and stamps the
-  /// session's walk identity into the checkpoint.
-  embed::TrainStats train_cold();
+  /// Drains the dirty set, compacts the graph, trains (below) and
+  /// records the round's stats: refresh() and full_retrain().
+  RefreshStats run_round(bool cold);
+  /// Builds the corpus of graph_.base() at walk_seed_ (walk::with_corpus),
+  /// trains on it and drops it; fills the walk and train stats. `cold`
+  /// (bootstrap and full_retrain) replaces the embedding and starts a
+  /// fresh checkpoint lineage stamped with the session's walk identity;
+  /// otherwise training resumes from the embedding and checkpoint.
+  RefreshStats train(bool cold);
   [[nodiscard]] embed::TrainConfig refresh_train_config() const;
   void record_stats(const RefreshStats& stats) const;
 
@@ -140,11 +125,6 @@ class RefreshSession {
   embed::TrainConfig train_config_;  ///< full-retrain config (bootstrap epochs)
   RefreshTuning tuning_;
   std::uint64_t walk_seed_ = 0;
-  walk::Corpus corpus_;
-  /// Disk-backed session corpus (exactly one of corpus_ / spool_ is the
-  /// live one; spool_ engaged iff spooled()).
-  std::optional<walk::SpooledCorpus> spool_;
-  walk::WalkIndex index_;
   embed::Embedding embedding_;
   embed::TrainerCheckpoint checkpoint_;
   obs::MetricsRegistry* metrics_ = nullptr;

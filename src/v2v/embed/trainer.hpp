@@ -128,8 +128,8 @@ struct TrainerCheckpoint {
   std::uint64_t seed = 0;  ///< trainer seed of the producing run
   /// Walk parameters of the corpus the embedding was trained on (filled
   /// by learn_embedding / the refresh driver, 0 = unknown). walk_seed is
-  /// the seed generate_corpus ran with — replaying it reproduces the old
-  /// corpus for incremental invalidation.
+  /// the seed generate_corpus ran with; every refresh round walks its
+  /// graph at it, so a round's corpus is a function of the graph alone.
   std::uint64_t walks_per_vertex = 0;
   std::uint64_t walk_length = 0;
   std::uint64_t walk_seed = 0;

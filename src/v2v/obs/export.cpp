@@ -258,7 +258,8 @@ class JsonParser {
           } else {
             // Non-ASCII escapes are rare in metric names; keep them
             // readable rather than implementing full UTF-16 decoding.
-            char buf[8];
+            // Backslash, 'u', up to 8 hex digits of an unsigned, NUL.
+            char buf[2 + 2 * sizeof(unsigned) + 1];
             std::snprintf(buf, sizeof(buf), "\\u%04x", code);
             out += buf;
           }

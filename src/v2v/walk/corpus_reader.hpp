@@ -1,7 +1,8 @@
-// Read-only corpus interface that the trainer, the walk-provenance index
-// and incremental regeneration iterate. Two implementations: walk::Corpus
-// (corpus.hpp) is the RAM-resident corpus itself, and SpooledCorpus
-// (corpus_spool.hpp) serves walks straight out of mmap'd disk segments.
+// Read-only corpus interface that the trainer iterates. Two
+// implementations: walk::Corpus (corpus.hpp) is the RAM-resident corpus
+// itself, and SpooledCorpus (corpus_spool.hpp) serves walks straight out
+// of mmap'd disk segments; walk::with_corpus (corpus_spool.hpp) picks one
+// for learn_embedding and for every dynamic refresh round.
 // Both hold the layout of the one corpus driver (CorpusDriver in
 // walker.hpp), and the trainer's chunk geometry depends only on
 // walk_count(), so a fixed-seed run produces the same epoch_loss

@@ -10,6 +10,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "v2v/common/timer.hpp"
 #include "v2v/obs/metrics.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -171,6 +172,22 @@ SpoolStats generate_corpus_spooled(const graph::Graph& g,
     m.gauge("spool.buffer_mb").set(static_cast<double>(buffer_mb));
   }
   return stats;
+}
+
+CorpusRun with_corpus(const graph::Graph& g, const WalkConfig& config,
+                      std::uint64_t seed,
+                      const std::function<void(const CorpusReader&)>& use) {
+  const WallTimer timer;
+  if (config.spool_dir.empty()) {
+    const Corpus corpus = generate_corpus(g, config, seed);
+    const CorpusRun run{corpus.walk_count(), corpus.token_count(), timer.seconds()};
+    use(corpus);
+    return run;
+  }
+  const SpoolStats stats = generate_corpus_spooled(g, config, seed);
+  const CorpusRun run{stats.walks, stats.tokens, timer.seconds()};
+  use(SpooledCorpus::open(config.spool_dir));
+  return run;
 }
 
 SpooledCorpus SpooledCorpus::open(const std::string& dir, store::MapMode mode) {

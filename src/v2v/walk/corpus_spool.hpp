@@ -31,10 +31,15 @@
 // every size and token against the manifest, so a spool whose checksums
 // hold but whose counts lie fails with kBadHeader instead of serving
 // walks out of bounds.
+//
+// with_corpus is the one place a caller picks between the two backings:
+// learn_embedding and every dynamic::RefreshSession round hand it a
+// training callback and get the corpus's totals back.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -74,6 +79,22 @@ struct SpoolStats {
 SpoolStats generate_corpus_spooled(const graph::Graph& g,
                                    const WalkConfig& config,
                                    std::uint64_t seed);
+
+/// What with_corpus generated.
+struct CorpusRun {
+  std::size_t walks = 0;
+  std::size_t tokens = 0;
+  double walk_seconds = 0.0;  ///< generation only, not `use`
+};
+
+/// Generates the corpus of (g, config, seed), hands it to `use` and drops
+/// it. With config.spool_dir set the walks go to a spool there (which
+/// stays on disk) and `use` reads the mapped SpooledCorpus; otherwise
+/// `use` reads the generate_corpus result, freed on return. Either way
+/// the reader serves the same walks in the same order.
+CorpusRun with_corpus(const graph::Graph& g, const WalkConfig& config,
+                      std::uint64_t seed,
+                      const std::function<void(const CorpusReader&)>& use);
 
 /// A spool directory opened for training: every segment is validated
 /// (container checksums) and served zero-copy when mmap is available,

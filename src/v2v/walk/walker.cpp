@@ -195,13 +195,11 @@ void CorpusDriver::run(const ChunkFn& on_chunk) const {
 }
 
 void CorpusDriver::walk_chunk(const WalkFn& walk_from, const WalkChunk& chunk,
-                              const WalkSink& sink, std::uint64_t stream_base,
-                              const std::function<bool(graph::VertexId)>& splice) const {
+                              const WalkSink& sink, std::uint64_t stream_base) const {
   std::vector<graph::VertexId> buffer;
   buffer.reserve(config_.walk_length);
   for (std::size_t v = chunk.begin; v < chunk.end; ++v) {
     const auto start = static_cast<graph::VertexId>(v);
-    if (splice && splice(start)) continue;
     // Per-vertex stream: deterministic regardless of scheduling.
     Rng rng = root_.fork(stream_base + v);
     for (std::size_t w = 0; w < config_.walks_per_vertex; ++w) {
@@ -211,18 +209,14 @@ void CorpusDriver::walk_chunk(const WalkFn& walk_from, const WalkChunk& chunk,
   }
 }
 
-Corpus CorpusDriver::collect(
-    const WalkFn& walk_from,
-    const std::function<bool(graph::VertexId, Corpus&)>& splice) const {
+Corpus CorpusDriver::collect(const WalkFn& walk_from) const {
   std::vector<Corpus> shards(chunks_);
   run([&](const WalkChunk& chunk) {
     Corpus& shard = shards[chunk.index];
     const std::size_t walks = (chunk.end - chunk.begin) * config_.walks_per_vertex;
     shard.reserve(walks, walks * config_.walk_length);
-    walk_chunk(
-        walk_from, chunk,
-        [&](std::span<const graph::VertexId> walk) { shard.add_walk(walk); }, 0,
-        [&](graph::VertexId v) { return splice && splice(v, shard); });
+    walk_chunk(walk_from, chunk,
+               [&](std::span<const graph::VertexId> walk) { shard.add_walk(walk); });
     return shard.token_count();
   });
   if (chunks_ == 1) return std::move(shards[0]);

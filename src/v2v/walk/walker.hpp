@@ -118,8 +118,8 @@ struct WalkChunk {
 
 /// The one place the corpus layout lives. Every corpus producer runs on a
 /// CorpusDriver — generate_corpus, generate_corpus_node2vec,
-/// generate_corpus_spooled, dynamic::regenerate_corpus_incremental and
-/// embed::train_embedding_streaming — which fixes what makes a corpus a
+/// generate_corpus_spooled and embed::train_embedding_streaming — which
+/// fixes what makes a corpus a
 /// pure function of (graph, walk parameters, seed, grain), whatever the
 /// thread count or schedule:
 ///   - the start-vertex split: chunk c covers start vertices
@@ -157,18 +157,13 @@ class CorpusDriver {
 
   /// Draws the walks of `chunk` in order, start vertex by start vertex,
   /// vertex v's from the stream root.fork(stream_base + v), and hands each
-  /// to `sink`. A start vertex for which `splice(v)` returns true has been
-  /// supplied by the caller and is not walked.
+  /// to `sink`.
   void walk_chunk(const WalkFn& walk_from, const WalkChunk& chunk,
-                  const WalkSink& sink, std::uint64_t stream_base = 0,
-                  const std::function<bool(graph::VertexId)>& splice = {}) const;
+                  const WalkSink& sink, std::uint64_t stream_base = 0) const;
 
   /// The RAM corpus: every chunk's walks go to that chunk's shard, and the
-  /// shards are merged in chunk order. `splice(v, shard)` may append start
-  /// vertex v's block itself and return true instead of having it walked.
-  [[nodiscard]] Corpus collect(
-      const WalkFn& walk_from,
-      const std::function<bool(graph::VertexId, Corpus&)>& splice = {}) const;
+  /// shards are merged in chunk order.
+  [[nodiscard]] Corpus collect(const WalkFn& walk_from) const;
 
  private:
   std::size_t vertices_;

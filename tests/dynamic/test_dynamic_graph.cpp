@@ -1,8 +1,8 @@
 // DynamicGraph contracts: merged adjacency equals the from-scratch CSR's
 // adjacency, compaction is *byte-identical* to a fresh GraphBuilder run
-// over the surviving edges (the determinism contract the incremental
-// walk layer builds on), and the dirty set tracks exactly the endpoints
-// of applied mutations.
+// over the surviving edges (the determinism contract the refresh
+// driver's corpus builds on), and the dirty set tracks exactly the
+// endpoints of applied mutations.
 #include "v2v/dynamic/dynamic_graph.hpp"
 
 #include <gtest/gtest.h>
@@ -72,7 +72,9 @@ TEST(DynamicGraph, MergedAdjacencyMatchesFreshCsr) {
       const auto weights = fresh.arc_weights(v);
       for (std::size_t i = 0; i < merged.size(); ++i) {
         EXPECT_EQ(merged[i].target, targets[i]);
-        if (!weights.empty()) EXPECT_EQ(merged[i].weight, weights[i]);
+        if (!weights.empty()) {
+          EXPECT_EQ(merged[i].weight, weights[i]);
+        }
       }
     }
   }

@@ -1,7 +1,7 @@
-// Spooled RefreshSession contracts: with walk_config.spool_dir set, the
-// session corpus lives on disk until the first refresh() materializes it,
-// and every observable output (embedding, checkpoint lineage, refreshed
-// corpus) is bit-identical to the RAM-resident session.
+// Spooled RefreshSession contracts: with walk_config.spool_dir set, every
+// round spools its corpus to disk and trains from the spool, and every
+// observable output (embedding, checkpoint lineage, the round's corpus)
+// is bit-identical to the RAM-resident session.
 #include "v2v/dynamic/refresh.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 
 #include "v2v/common/rng.hpp"
 #include "v2v/graph/generators.hpp"
+#include "v2v/walk/corpus_spool.hpp"
 
 namespace v2v::dynamic {
 namespace {
@@ -101,27 +102,27 @@ TEST(DynamicRefreshSpool, BootstrapAndRefreshMatchRamSession) {
   spooled_config.spool_dir = dir;
   RefreshSession spooled(seed_graph(40, 100, 7), spooled_config,
                          small_train_config(), {}, master_seed);
-  EXPECT_TRUE(spooled.spooled());
-  EXPECT_TRUE(spooled.corpus().walk_count() == 0);
-
   RefreshSession ram(seed_graph(40, 100, 7), small_walk_config(),
                      small_train_config(), {}, master_seed);
-  EXPECT_FALSE(ram.spooled());
   expect_embeddings_equal(spooled.embedding(), ram.embedding());
 
   const auto deltas = churn_deltas(40, 10, 500);
   spooled.apply(std::span<const EdgeDelta>(deltas));
   ram.apply(std::span<const EdgeDelta>(deltas));
-  const auto spooled_stats = spooled.refresh();
-  const auto ram_stats = ram.refresh();
-  // The first refresh splices from the disk spool and materializes the
-  // merged corpus in RAM.
-  EXPECT_FALSE(spooled.spooled());
-  EXPECT_EQ(spooled_stats.regenerated_starts, ram_stats.regenerated_starts);
-  EXPECT_EQ(spooled_stats.reused_starts, ram_stats.reused_starts);
+  (void)spooled.refresh();
+  (void)ram.refresh();
   expect_embeddings_equal(spooled.embedding(), ram.embedding());
-  const auto a = spooled.corpus().tokens(), b = ram.corpus().tokens();
-  ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+  // The spool holds the corpus the refresh trained on: the post-delta
+  // graph's, not the bootstrap's.
+  const auto spool = walk::SpooledCorpus::open(dir);
+  const auto full = walk::generate_corpus(ram.graph().base(),
+                                          small_walk_config(), ram.walk_seed());
+  ASSERT_EQ(spool.walk_count(), full.walk_count());
+  for (std::size_t w = 0; w < full.walk_count(); ++w) {
+    const auto a = spool.walk(w), b = full.walk(w);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "walk " << w;
+  }
 
   fs::remove_all(dir);
 }
@@ -137,7 +138,6 @@ TEST(DynamicRefreshSpool, FullRetrainRespools) {
   EXPECT_TRUE(stats.full_retrain);
   // A spooled session's full retrain regenerates the spool rather than
   // materializing the corpus.
-  EXPECT_TRUE(session.spooled());
   EXPECT_TRUE(fs::exists(walk::spool_manifest_path(dir)));
 
   RefreshSession ram_session(seed_graph(30, 70, 11), small_walk_config(),

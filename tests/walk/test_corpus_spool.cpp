@@ -21,7 +21,6 @@
 #include "v2v/graph/generators.hpp"
 #include "v2v/store/format.hpp"
 #include "v2v/walk/corpus_reader.hpp"
-#include "v2v/walk/walk_index.hpp"
 
 namespace v2v::walk {
 namespace {
@@ -194,26 +193,6 @@ TEST_F(CorpusSpoolTest, NoMmapEnvForcesBufferedFallback) {
   ::unsetenv("V2V_STORE_NO_MMAP");
   EXPECT_FALSE(spooled.zero_copy());
   expect_same_walks(ram, spooled);
-}
-
-TEST_F(CorpusSpoolTest, WalkIndexFromSpoolMatchesRam) {
-  const graph::Graph g = graph::make_ring(30);
-  WalkConfig config = spool_config();
-  config.grain = 11;
-  const Corpus ram = generate_corpus(g, config, 21);
-  (void)generate_corpus_spooled(g, config, 21);
-  const SpooledCorpus spooled = SpooledCorpus::open(dir_);
-
-  const WalkIndex from_ram(ram, g.vertex_count());
-  const WalkIndex from_spool(spooled, g.vertex_count());
-  ASSERT_EQ(from_spool.walk_count(), from_ram.walk_count());
-  ASSERT_EQ(from_spool.entry_count(), from_ram.entry_count());
-  for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
-    const auto a = from_ram.walks_visiting(v);
-    const auto b = from_spool.walks_visiting(v);
-    ASSERT_EQ(std::vector<std::uint32_t>(b.begin(), b.end()),
-              std::vector<std::uint32_t>(a.begin(), a.end()));
-  }
 }
 
 TEST_F(CorpusSpoolTest, EmptySpoolDirThrowsInvalidArgument) {
