@@ -185,6 +185,7 @@ IvfIndex::IvfIndex(store::EmbeddingView data, DistanceMetric metric,
   codes_ = {packed, rows_ * code_bytes_};
   ids_ = ids_owned_;
   floats_ = data;
+  if (codec_ == IvfCodec::kPq) derive_pq_cross(threads);
 
   if (config.metrics != nullptr) {
     config.metrics->gauge("ivf.nlist").set(static_cast<double>(nlist));
@@ -279,6 +280,7 @@ std::unique_ptr<IvfIndex> IvfIndex::from_snapshot(
         !std::is_sorted(out->list_offsets_.begin(), out->list_offsets_.end())) {
       bad_sections("pqls offsets inconsistent");
     }
+    out->derive_pq_cross(std::max<std::size_t>(1, config.threads));
   }
 
   if (snap.has_floats()) out->floats_ = snap.float_view();
@@ -334,6 +336,36 @@ void IvfIndex::save_sections(store::SnapshotBuilder& builder) const {
   builder.add_section("pqls", std::move(lists));
 }
 
+void IvfIndex::derive_pq_cross(std::size_t threads) {
+  pq_cross_.resize(rows_);
+  const std::size_t m = pq_.m;
+  constexpr std::size_t kStride = kernels::kPqLutStride;
+  parallel_for_dynamic(
+      threads, nlist(), 0,
+      [&](std::size_t, std::size_t, std::size_t begin, std::size_t end) {
+        // Per list, a table laid out like the ADC table: dots[s * kStride
+        // + w] = <c, codeword w of subspace s> over the subspace's
+        // dimensions (books row j holds dimension j of every codeword).
+        // Summing a code's m entries gives <c, r>.
+        std::vector<float> dots(m * kStride);
+        for (std::size_t list = begin; list < end; ++list) {
+          const float* const c = centroids_.row(list).data();
+          std::fill(dots.begin(), dots.end(), 0.0f);
+          for (std::size_t s = 0; s < m; ++s) {
+            for (std::size_t j = pq_.sub_offset[s]; j < pq_.sub_offset[s + 1]; ++j) {
+              kernels::axpy(c[j], pq_.books.data() + j * kStride,
+                            dots.data() + s * kStride, kStride);
+            }
+          }
+          for (std::size_t slot = list_offsets_[list];
+               slot < list_offsets_[list + 1]; ++slot) {
+            pq_cross_[slot] =
+                2.0f * kernels::pq_adc(dots.data(), codes_.data() + slot * m, m);
+          }
+        }
+      });
+}
+
 void IvfIndex::search_into(std::span<const float> query, std::size_t k,
                            std::vector<Neighbor>& out) const {
   out.clear();
@@ -366,13 +398,16 @@ void IvfIndex::search_into(std::span<const float> query, std::size_t k,
                     coarse.begin() + static_cast<std::ptrdiff_t>(probes),
                     coarse.end(), neighbor_less);
 
-  thread_local std::vector<float> resq;
   thread_local std::vector<float> lut;
   thread_local std::vector<Neighbor> scored;
   scored.clear();
+  // kPq: the query's one ADC table, ||q - r||² per subspace codeword, and
+  // ||q||², which the split subtracts from each coarse distance.
+  double query_norm = 0.0;
   if (codec_ == IvfCodec::kPq) {
-    resq.resize(dims);
     lut.resize(pq_.m * kernels::kPqLutStride);
+    pq_.build_lut(q, lut.data());
+    query_norm = kernels::ddot(q, q, dims);
   }
   const float* const rows = float_codes_.data();
   const std::size_t row_stride = float_codes_.stride();
@@ -381,6 +416,8 @@ void IvfIndex::search_into(std::span<const float> query, std::size_t k,
   const float* const vmin = sq8_.vmin.data();
   const float* const scale = sq8_.scale.data();
   const std::size_t m = pq_.m;
+  const float* const table = lut.data();
+  const float* const cross = pq_cross_.data();
 
   for (std::size_t p = 0; p < probes; ++p) {
     const std::size_t list = coarse[p].id;
@@ -416,14 +453,13 @@ void IvfIndex::search_into(std::span<const float> query, std::size_t k,
         });
         break;
       case IvfCodec::kPq: {
-        // Query residual against this cell, then its ADC table.
-        std::copy(q, q + dims, resq.begin());
-        kernels::axpy(-1.0f, centroids_.row(list).data(), resq.data(), dims);
-        pq_.build_lut(resq.data(), lut.data());
-        const float* const table = lut.data();
+        // ||q - c - r||² = (||q - c||² - ||q||²) + ||q - r||² + 2<c, r>.
+        const double coarse_term = coarse[p].distance - query_norm;
         scan([&](std::size_t slot) {
-          const auto adc =
-              static_cast<double>(kernels::pq_adc(table, codes + slot * m, m));
+          const double adc =
+              coarse_term +
+              static_cast<double>(kernels::pq_adc(table, codes + slot * m, m)) +
+              static_cast<double>(cross[slot]);
           // Unit-sphere rows: ||q - x||^2 = 2 (1 - cos), so halving the
           // ADC estimate lands on the cosine-distance scale.
           return cosine ? 0.5 * adc : adc;
@@ -465,7 +501,8 @@ double IvfIndex::warm_rows(std::size_t begin, std::size_t end) const {
 
 double IvfIndex::bytes_per_vector() const noexcept {
   const double per_vector = static_cast<double>(
-      code_bytes_ + (ids_.empty() ? 0 : sizeof(std::uint32_t)));
+      code_bytes_ + (ids_.empty() ? 0 : sizeof(std::uint32_t)) +
+      (pq_cross_.empty() ? 0 : sizeof(float)));
   const std::size_t params =
       sq8_.vmin.size() + sq8_.scale.size() + pq_.books.size() + nlist() * dims_;
   const double fixed =

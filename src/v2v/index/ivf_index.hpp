@@ -16,11 +16,11 @@
 //   kSq8    one byte per dimension (Sq8Quantizer fitted on every row),
 //           scored by the asymmetric kernels::sq8_dot / sq8_sqdist — the
 //           query stays float, no decoded copy materializes.
-//   kPq     the row's residual against its centroid, product-quantized to
-//           m bytes (PqCodebooks trained on the sampled residuals). A
-//           probed list builds one ADC table over the query residual
-//           (kernels::pq_lut per subspace) and scores each code with
-//           kernels::pq_adc: ||q - x||² = ||(q - c) - (x - c)||².
+//   kPq     the row's residual against its centroid c, product-quantized to
+//           m bytes by PqCodebooks; a code decoding to r scores ||q - c - r||²
+//           = (||q - c||² - ||q||²) + ||q - r||² + 2<c, r>: the probe's coarse
+//           distance, one ADC table per query over q (kernels::pq_adc per
+//           code) and one float per slot, derived when built or loaded.
 //
 // Query: rank the centroids by squared distance to the normalized query,
 // scan the `nprobe` nearest lists — the codec is picked once per list,
@@ -79,7 +79,8 @@ struct IvfConfig {
   std::size_t rerank = 0;
   /// Seeds the training sample, the coarse k-means and the PQ codebooks.
   std::uint64_t seed = 1;
-  /// Worker threads for the build; codes are byte-identical at any count.
+  /// Worker threads for the build (and for from_snapshot's derived kPq
+  /// term); codes and derived values are identical at any count.
   std::size_t threads = 1;
   /// Assignment engine for quantizer training and the row-assignment
   /// pass. kNaive is the slow oracle kept for CI speedup gates.
@@ -144,7 +145,8 @@ class IvfIndex final : public VectorIndex {
   }
 
   /// Footprint per vector: code bytes + id (when the index keeps an id
-  /// array) + the centroids, list offsets and codec parameters, amortized.
+  /// array) + kPq's derived slot term + the centroids, list offsets and
+  /// codec parameters, amortized.
   [[nodiscard]] double bytes_per_vector() const noexcept;
   [[nodiscard]] std::span<const std::uint8_t> packed_codes() const noexcept {
     return codes_;
@@ -157,6 +159,10 @@ class IvfIndex final : public VectorIndex {
   }
 
  private:
+  /// Fills pq_cross_ from the centroids, codebooks and codes, spreading
+  /// lists over `threads`; each slot's value is independent of the count.
+  void derive_pq_cross(std::size_t threads);
+
   std::size_t rows_ = 0;
   std::size_t dims_ = 0;
   DistanceMetric metric_ = DistanceMetric::kCosine;
@@ -173,6 +179,7 @@ class IvfIndex final : public VectorIndex {
   std::span<const std::uint32_t> ids_;       ///< slot -> id; empty = identity
   Sq8Quantizer sq8_;                         ///< kSq8 parameters
   PqCodebooks pq_;                           ///< kPq codebooks
+  std::vector<float> pq_cross_;              ///< kPq: 2<c, r> per slot
   store::EmbeddingView floats_;              ///< rerank rows; empty = none
 };
 

@@ -9,10 +9,12 @@
 //                 dimension) and each subvector is replaced by the id of
 //                 its nearest codeword among ksub <= 256 trained per
 //                 subspace — m bytes per vector. Queries scan codes with
-//                 the LUT-based asymmetric distance (ADC): a per-query
-//                 m x 256 table of subspace sqdists, one kernels::pq_lut
+//                 the LUT-based asymmetric distance (ADC): one m x 256
+//                 table of subspace sqdists per query, one kernels::pq_lut
 //                 call per subspace, accumulated by kernels::pq_adc over
-//                 the packed codes.
+//                 the packed codes. IvfIndex builds that one table over
+//                 the query itself and adds a per-list and a per-code
+//                 term (ivf_index.hpp).
 //
 // Both quantizers train on the existing exact k-means engine (ml::kmeans
 // + ml::assign_to_centroids) rather than reimplementing Lloyd; encoding

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdint>
 #include <cstring>
 #include <exception>
@@ -9,6 +10,7 @@
 #include <functional>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 
 #include "v2v/common/timer.hpp"
 #include "v2v/obs/metrics.hpp"
@@ -38,6 +40,26 @@ void put_u64s(std::vector<std::uint8_t>& out, const std::uint64_t* words,
   std::memcpy(&value, bytes.data() + word * sizeof(std::uint64_t),
               sizeof(std::uint64_t));
   return value;
+}
+
+/// Removes the `seg-<i>.v2vseg` files with i >= `chunks` that an earlier,
+/// larger spool left in `dir`; the new manifest names none of them, so a
+/// file that cannot be removed only wastes disk.
+void remove_stale_segments(const std::string& dir, std::size_t chunks) {
+  constexpr std::string_view kPrefix = "seg-";
+  constexpr std::string_view kSuffix = ".v2vseg";
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (!name.starts_with(kPrefix) || !name.ends_with(kSuffix)) continue;
+    const char* const first = name.data() + kPrefix.size();
+    const char* const last = name.data() + name.size() - kSuffix.size();
+    std::size_t index = 0;
+    const auto [end, error] = std::from_chars(first, last, index);
+    if (error == std::errc{} && end == last && index >= chunks) {
+      std::filesystem::remove(entry.path(), ec);
+    }
+  }
 }
 
 }  // namespace
@@ -164,6 +186,7 @@ SpoolStats generate_corpus_spooled(const graph::Graph& g,
   const std::string manifest_path = spool_manifest_path(config.spool_dir);
   manifest.write(manifest_path);
   stats.bytes_written += std::filesystem::file_size(manifest_path, ec);
+  remove_stale_segments(config.spool_dir, chunks);
 
   if (config.metrics != nullptr) {
     auto& m = *config.metrics;

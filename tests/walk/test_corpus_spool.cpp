@@ -1,11 +1,12 @@
 // Corpus spool tests: RAM/spool token equality, multi-segment layouts,
-// the buffered (no-mmap) fallback, and a corruption matrix asserting
-// that every malformed spool fails with the exact typed
-// SnapshotErrorCode instead of serving garbage walks.
+// reuse of a spool directory, the buffered (no-mmap) fallback, and a
+// corruption matrix asserting that every malformed spool fails with the
+// exact typed SnapshotErrorCode instead of serving garbage walks.
 #include "v2v/walk/corpus_spool.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -102,6 +103,31 @@ TEST_F(CorpusSpoolTest, RoundTripMatchesInMemoryCorpus) {
   // Frequency queries clamp to the requested vocab on both backings.
   EXPECT_EQ(spooled.vertex_frequencies(5), ram.vertex_frequencies(5));
   EXPECT_EQ(spooled.vertex_frequencies(1000), ram.vertex_frequencies(1000));
+}
+
+TEST_F(CorpusSpoolTest, ReusedDirectoryDropsStaleSegments) {
+  // Spooling into a directory that holds a larger earlier spool leaves the
+  // manifest and the new segments only, and reads back the RAM corpus.
+  const graph::Graph g = graph::make_ring(200);
+  WalkConfig config = spool_config();
+  config.threads = 4;
+  const SpoolStats wide = generate_corpus_spooled(g, config, 5);
+  config.threads = 1;
+  const SpoolStats narrow = generate_corpus_spooled(g, config, 5);
+  ASSERT_LT(narrow.segments, wide.segments);
+
+  std::vector<std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    files.push_back(entry.path().string());
+  }
+  std::vector<std::string> expected{spool_manifest_path(dir_)};
+  for (std::size_t i = 0; i < narrow.segments; ++i) {
+    expected.push_back(spool_segment_path(dir_, i));
+  }
+  std::sort(files.begin(), files.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(files, expected);
+  expect_same_walks(generate_corpus(g, config, 5), SpooledCorpus::open(dir_));
 }
 
 TEST_F(CorpusSpoolTest, InMemoryCorpusAdapterMatchesWrappedCorpus) {
