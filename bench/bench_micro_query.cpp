@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "v2v/common/kernels.hpp"
@@ -139,13 +140,15 @@ double measure_qps(const index::QueryEngine& engine, const MatrixF& queries,
 }
 
 /// The acceptance-gate baseline: FlatIndex vs IvfIndex on `n` x 64
-/// clustered vectors with 8 query threads, recall@10 measured against the
-/// flat oracle at every swept nprobe. The headline ivf numbers are the
-/// cheapest sweep point whose recall clears 0.9.
+/// clustered vectors with up to 8 query threads (no more than the host's
+/// hardware threads, so no engine oversubscribes its cores), recall@10
+/// measured against the flat oracle at every swept nprobe. The headline
+/// ivf numbers are the cheapest sweep point whose recall clears 0.9.
 void write_query_baseline() {
   constexpr std::size_t kDims = 64;
   constexpr std::size_t kTopK = 10;
-  constexpr std::size_t kThreads = 8;
+  const std::size_t threads =
+      std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, 8);
   const std::size_t n = baseline_rows();
   const std::size_t query_count = std::min<std::size_t>(2000, n);
 
@@ -154,19 +157,19 @@ void write_query_baseline() {
   const auto view = store::EmbeddingView::of(points);
 
   const index::FlatIndex flat(view, index::DistanceMetric::kEuclidean);
-  const index::QueryEngine flat_engine(flat, {.threads = kThreads, .metrics = nullptr});
+  const index::QueryEngine flat_engine(flat, {.threads = threads, .metrics = nullptr});
   const double flat_qps = measure_qps(flat_engine, queries, kTopK, 3);
   const auto truth = flat_engine.query_batch(queries, kTopK);
 
   obs::MetricsRegistry build_metrics;
   index::IvfConfig config;
   config.nlist = 0;  // ~sqrt(n)
-  config.threads = kThreads;
+  config.threads = threads;
   config.metrics = &build_metrics;
   const WallTimer build_timer;
   index::IvfIndex ivf(view, index::DistanceMetric::kEuclidean, config);
   const double build_seconds = build_timer.seconds();
-  const index::QueryEngine ivf_engine(ivf, {.threads = kThreads, .metrics = nullptr});
+  const index::QueryEngine ivf_engine(ivf, {.threads = threads, .metrics = nullptr});
 
   // Same build with the k-means oracle engine: quantifies what the pruned
   // engine buys at build time (the answer is bit-compatible, so recall is
@@ -189,7 +192,7 @@ void write_query_baseline() {
   obs::MetricsRegistry baseline;
   baseline.gauge("query.rows").set(static_cast<double>(n));
   baseline.gauge("query.dims").set(static_cast<double>(kDims));
-  baseline.gauge("query.threads").set(static_cast<double>(kThreads));
+  baseline.gauge("query.threads").set(static_cast<double>(threads));
   baseline.gauge("query.ivf_nlist").set(static_cast<double>(ivf.nlist()));
   baseline.gauge("query.ivf_build_seconds").set(build_seconds);
   baseline.gauge("query.ivf_build_naive_seconds").set(naive_build_seconds);
@@ -235,8 +238,8 @@ void write_query_baseline() {
   const index::IvfIndex sq(view, index::DistanceMetric::kEuclidean,
                            {.nlist = 1,
                             .codec = index::IvfCodec::kSq8,
-                            .threads = kThreads});
-  const index::QueryEngine sq_engine(sq, {.threads = kThreads, .metrics = nullptr});
+                            .threads = threads});
+  const index::QueryEngine sq_engine(sq, {.threads = threads, .metrics = nullptr});
   const double sq_qps = measure_qps(sq_engine, queries, kTopK, 3);
   const double sq_recall =
       sq_engine.observe_recall(truth, sq_engine.query_batch(queries, kTopK));
@@ -252,9 +255,9 @@ void write_query_baseline() {
   pq_config.nlist = 0;  // ~sqrt(n), same default as ivf
   pq_config.codec = index::IvfCodec::kPq;
   pq_config.m = 16;
-  pq_config.threads = kThreads;
+  pq_config.threads = threads;
   index::IvfIndex ivfpq(view, index::DistanceMetric::kEuclidean, pq_config);
-  const index::QueryEngine pq_engine(ivfpq, {.threads = kThreads, .metrics = nullptr});
+  const index::QueryEngine pq_engine(ivfpq, {.threads = threads, .metrics = nullptr});
   const double pq_bpv = ivfpq.bytes_per_vector();
   baseline.gauge("query.ivfpq_bytes_per_vector").set(pq_bpv);
   baseline.gauge("query.ivfpq_mem_ratio").set(pq_bpv / float_bpv);

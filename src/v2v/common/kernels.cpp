@@ -1,12 +1,14 @@
 // Runtime-dispatched SIMD variants of the kernel layer.
 //
-// Each ISA variant lives in this single TU behind
-// __attribute__((target(...))), so the file compiles with the project's
-// baseline flags and only the marked functions use wider instructions;
-// nothing above SSE2 executes unless __builtin_cpu_supports says the CPU
-// has it. Loads/stores use the unaligned intrinsic forms — cost-free on
-// the 64-byte-aligned rows MatrixF hands us, and safe for callers passing
-// arbitrary scratch buffers.
+// The ISA variants live behind __attribute__((target(...))): here, and
+// for the trainer's row operations (dot, axpy, scale, add, fill) as
+// inline bodies in kernels.hpp, which this file's KernelSets point at.
+// Every file compiles with the project's baseline flags and only the
+// marked functions use wider instructions; nothing above SSE2 executes
+// unless __builtin_cpu_supports says the CPU has it. Loads/stores use the
+// unaligned intrinsic forms — cost-free on the 64-byte-aligned rows
+// MatrixF hands us, and safe for callers passing arbitrary scratch
+// buffers.
 //
 // This TU is only built when V2V_TSAN_ENABLED is 0 as far as dispatch is
 // concerned: under TSan the header inlines every kernel to the relaxed
@@ -17,12 +19,8 @@
 
 #include <cstdlib>
 
-#if defined(__x86_64__) || defined(__i386__)
-#define V2V_KERNELS_X86 1
+#if V2V_KERNELS_X86
 #include <cpuid.h>
-#include <immintrin.h>
-#else
-#define V2V_KERNELS_X86 0
 #endif
 
 namespace v2v::kernels {
@@ -130,30 +128,14 @@ KernelSet scalar_set() noexcept {
 
 // ---------------------------------------------------------------- SSE2 --
 //
-// Seven members keep an SSE2 body: dot, ddot, sqdist, sqdist_fd, pq_adc,
-// sq8_sqdist, sq8_dot. bench/bench_micro_kernels.cpp measures each against
-// the scalar reference and CI requires >= 1.2x. sse2_set() points the other
-// members at the reference: GCC -O3 already vectorizes the elementwise
-// loops (axpy, scale, add, fill, add_fd, scale_d) at the x86-64 baseline,
-// and the double reductions (dot_fd, dot_dd, sqdist_dd) gained too little
-// over the reference's packed multiplies to keep a body.
-
-__attribute__((target("sse2"))) float sse2_dot(const float* a, const float* b,
-                                               std::size_t n) {
-  __m128 acc = _mm_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm_add_ps(acc, _mm_mul_ps(_mm_loadu_ps(a + i), _mm_loadu_ps(b + i)));
-  }
-  // Horizontal sum of the 4 lanes.
-  __m128 shuf = _mm_shuffle_ps(acc, acc, _MM_SHUFFLE(2, 3, 0, 1));
-  __m128 sums = _mm_add_ps(acc, shuf);
-  shuf = _mm_movehl_ps(shuf, sums);
-  sums = _mm_add_ss(sums, shuf);
-  float sum = _mm_cvtss_f32(sums);
-  for (; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
+// Seven members keep an SSE2 body: dot (sse2::dot, in kernels.hpp), ddot,
+// sqdist, sqdist_fd, pq_adc, sq8_sqdist, sq8_dot. bench/bench_micro_kernels
+// measures each against the scalar reference and CI requires >= 1.2x.
+// sse2_set() points the other members at the reference: GCC -O3 already
+// vectorizes the elementwise loops (axpy, scale, add, fill, add_fd,
+// scale_d) at the x86-64 baseline, and the double reductions (dot_fd,
+// dot_dd, sqdist_dd) gained too little over the reference's packed
+// multiplies to keep a body.
 
 __attribute__((target("sse2"))) double sse2_ddot(const float* a, const float* b,
                                                  std::size_t n) {
@@ -326,7 +308,7 @@ __attribute__((target("sse2"))) float sse2_sq8_dot(const float* q,
 }
 
 KernelSet sse2_set() noexcept {
-  return KernelSet{&sse2_dot,        &scalar::axpy,    &scalar::scale,
+  return KernelSet{&sse2::dot,       &scalar::axpy,    &scalar::scale,
                    &scalar::add,     &scalar::fill,    &sse2_ddot,
                    &sse2_sqdist,     &sse2_sqdist_fd,  &scalar::add_fd,
                    &scalar::scale_d, &scalar::dot_fd,  &scalar::dot_dd,
@@ -335,63 +317,8 @@ KernelSet sse2_set() noexcept {
 }
 
 // ------------------------------------------------------------ AVX2/FMA --
-
-__attribute__((target("avx2,fma"))) float avx2_dot(const float* a, const float* b,
-                                                   std::size_t n) {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i), acc);
-  }
-  __m128 lo = _mm256_castps256_ps128(acc);
-  __m128 hi = _mm256_extractf128_ps(acc, 1);
-  lo = _mm_add_ps(lo, hi);
-  __m128 shuf = _mm_shuffle_ps(lo, lo, _MM_SHUFFLE(2, 3, 0, 1));
-  __m128 sums = _mm_add_ps(lo, shuf);
-  shuf = _mm_movehl_ps(shuf, sums);
-  sums = _mm_add_ss(sums, shuf);
-  float sum = _mm_cvtss_f32(sums);
-  for (; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
-__attribute__((target("avx2,fma"))) void avx2_axpy(float alpha, const float* x,
-                                                   float* y, std::size_t n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(y + i,
-                     _mm256_fmadd_ps(va, _mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i)));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-__attribute__((target("avx2,fma"))) void avx2_scale(float* x, float alpha,
-                                                    std::size_t n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(x + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), va));
-  }
-  for (; i < n; ++i) x[i] *= alpha;
-}
-
-__attribute__((target("avx2,fma"))) void avx2_add(const float* x, float* y,
-                                                  std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(y + i, _mm256_add_ps(_mm256_loadu_ps(y + i), _mm256_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) y[i] += x[i];
-}
-
-__attribute__((target("avx2,fma"))) void avx2_fill(float* x, float value,
-                                                   std::size_t n) {
-  const __m256 vv = _mm256_set1_ps(value);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) _mm256_storeu_ps(x + i, vv);
-  for (; i < n; ++i) x[i] = value;
-}
+//
+// dot, axpy, scale, add and fill are kernels.hpp's avx2:: bodies.
 
 __attribute__((target("avx2,fma"))) double avx2_ddot(const float* a, const float* b,
                                                      std::size_t n) {
@@ -636,8 +563,8 @@ __attribute__((target("avx2,fma"))) float avx2_sq8_dot(const float* q,
 }
 
 KernelSet avx2_set() noexcept {
-  return KernelSet{&avx2_dot,    &avx2_axpy,      &avx2_scale,  &avx2_add,
-                   &avx2_fill,   &avx2_ddot,      &avx2_sqdist, &avx2_sqdist_fd,
+  return KernelSet{&avx2::dot,   &avx2::axpy,     &avx2::scale, &avx2::add,
+                   &avx2::fill,  &avx2_ddot,      &avx2_sqdist, &avx2_sqdist_fd,
                    &avx2_add_fd, &avx2_scale_d,   &avx2_dot_fd, &avx2_dot_dd,
                    &avx2_sqdist_dd, &avx2_pq_adc, &avx2_pq_lut,
                    &avx2_sq8_sqdist, &avx2_sq8_dot};

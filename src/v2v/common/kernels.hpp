@@ -1,10 +1,10 @@
 // SIMD kernel layer for the embedding/ML hot loops.
 //
 // Every elementwise row operation of the SGD trainer (dot, axpy, scale,
-// add, fill) and the distance loops of k-means / k-NN / t-SNE
-// (sqdist, ddot, sqdist_fd, add_fd, scale_d) go through this header. The
-// free functions dispatch once per process to the widest compiled variant
-// the CPU supports:
+// add, fill; inlined per ISA through RowOps, end of file) and the distance
+// loops of k-means / k-NN / t-SNE (sqdist, ddot, sqdist_fd, add_fd,
+// scale_d) go through this header. The free functions dispatch once per
+// process to the widest compiled variant the CPU supports:
 //
 //   ISA      | guard                      | width
 //   ---------+----------------------------+---------------------------
@@ -46,6 +46,13 @@
 
 #include "v2v/common/aligned.hpp"
 #include "v2v/common/relaxed.hpp"
+
+#if defined(__x86_64__) || defined(__i386__)
+#define V2V_KERNELS_X86 1
+#include <immintrin.h>
+#else
+#define V2V_KERNELS_X86 0
+#endif
 
 namespace v2v::kernels {
 
@@ -97,6 +104,19 @@ namespace scalar {
 inline void axpy(float alpha, const float* x, float* y, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) {
     relaxed_store(y + i, relaxed_load(y + i) + alpha * relaxed_load(x + i));
+  }
+}
+
+/// One SGD pair's two updates in one pass: grad += g * row, then
+/// row += g * input, element by element. Neither `grad` nor `input` may
+/// alias `row`; then each element gets the same two roundings as
+/// axpy(g, row, grad, n) followed by axpy(g, input, row, n).
+inline void axpy_pair(float g, const float* input, float* row, float* grad,
+                      std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    const float r = relaxed_load(row + i);
+    relaxed_store(grad + i, relaxed_load(grad + i) + g * r);
+    relaxed_store(row + i, r + g * relaxed_load(input + i));
   }
 }
 
@@ -233,6 +253,129 @@ void pq_lut(const float* q, const float* book, std::size_t d,
 
 }  // namespace scalar
 
+#if V2V_KERNELS_X86
+
+// The SIMD bodies of the trainer's row operations. Each is the body its
+// ISA's KernelSet points at (kernels.cpp) and a RowOps member, so the
+// dispatched call and the trainer's inlined loop run one body and give
+// the same bits. The other SIMD members live in kernels.cpp.
+//
+// Every translation unit that calls these bodies compiles with
+// -ffp-contract=off, like kernels.cpp (src/ and tests/ CMakeLists.txt
+// list those units): without it a copy may fuse a scalar tail's mul+add
+// into an FMA, and the linker keeps one copy of each inline body for the
+// whole binary, the KernelSet's pointers included.
+
+// The fixed-form intrinsic macros (extract/shuffle) expand to C-style
+// casts; silence the cast lint for the variant bodies only.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wold-style-cast"
+
+namespace sse2 {
+
+[[gnu::target("sse2")]] inline float dot(const float* a, const float* b,
+                                         std::size_t n) noexcept {
+  __m128 acc = _mm_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    acc = _mm_add_ps(acc, _mm_mul_ps(_mm_loadu_ps(a + i), _mm_loadu_ps(b + i)));
+  }
+  // Horizontal sum of the 4 lanes.
+  __m128 shuf = _mm_shuffle_ps(acc, acc, _MM_SHUFFLE(2, 3, 0, 1));
+  __m128 sums = _mm_add_ps(acc, shuf);
+  shuf = _mm_movehl_ps(shuf, sums);
+  sums = _mm_add_ss(sums, shuf);
+  float sum = _mm_cvtss_f32(sums);
+  for (; i < n; ++i) sum += a[i] * b[i];
+  return sum;
+}
+
+}  // namespace sse2
+
+namespace avx2 {
+
+[[gnu::target("avx2,fma")]] inline float dot(const float* a, const float* b,
+                                             std::size_t n) noexcept {
+  __m256 acc = _mm256_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i), acc);
+  }
+  __m128 lo = _mm256_castps256_ps128(acc);
+  __m128 hi = _mm256_extractf128_ps(acc, 1);
+  lo = _mm_add_ps(lo, hi);
+  __m128 shuf = _mm_shuffle_ps(lo, lo, _MM_SHUFFLE(2, 3, 0, 1));
+  __m128 sums = _mm_add_ps(lo, shuf);
+  shuf = _mm_movehl_ps(shuf, sums);
+  sums = _mm_add_ss(sums, shuf);
+  float sum = _mm_cvtss_f32(sums);
+  for (; i < n; ++i) sum += a[i] * b[i];
+  return sum;
+}
+
+[[gnu::target("avx2,fma")]] inline void axpy(float alpha, const float* x, float* y,
+                                             std::size_t n) noexcept {
+  const __m256 va = _mm256_set1_ps(alpha);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(y + i,
+                     _mm256_fmadd_ps(va, _mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i)));
+  }
+  for (; i < n; ++i) y[i] += alpha * x[i];
+}
+
+/// scalar::axpy_pair's contract; the vector body is avx2::axpy's twice.
+[[gnu::target("avx2,fma")]] inline void axpy_pair(float g, const float* input,
+                                                  float* row, float* grad,
+                                                  std::size_t n) noexcept {
+  const __m256 vg = _mm256_set1_ps(g);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 r = _mm256_loadu_ps(row + i);
+    _mm256_storeu_ps(grad + i, _mm256_fmadd_ps(vg, r, _mm256_loadu_ps(grad + i)));
+    _mm256_storeu_ps(row + i, _mm256_fmadd_ps(vg, _mm256_loadu_ps(input + i), r));
+  }
+  for (; i < n; ++i) {
+    const float r = row[i];
+    grad[i] += g * r;
+    row[i] = r + g * input[i];
+  }
+}
+
+[[gnu::target("avx2,fma")]] inline void scale(float* x, float alpha,
+                                              std::size_t n) noexcept {
+  const __m256 va = _mm256_set1_ps(alpha);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(x + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), va));
+  }
+  for (; i < n; ++i) x[i] *= alpha;
+}
+
+[[gnu::target("avx2,fma")]] inline void add(const float* x, float* y,
+                                            std::size_t n) noexcept {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(y + i,
+                     _mm256_add_ps(_mm256_loadu_ps(y + i), _mm256_loadu_ps(x + i)));
+  }
+  for (; i < n; ++i) y[i] += x[i];
+}
+
+[[gnu::target("avx2,fma")]] inline void fill(float* x, float value,
+                                             std::size_t n) noexcept {
+  const __m256 vv = _mm256_set1_ps(value);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) _mm256_storeu_ps(x + i, vv);
+  for (; i < n; ++i) x[i] = value;
+}
+
+}  // namespace avx2
+
+#pragma GCC diagnostic pop
+
+#endif  // V2V_KERNELS_X86
+
 #if V2V_TSAN_ENABLED
 
 // ThreadSanitizer build: every kernel IS the relaxed scalar reference, so
@@ -302,7 +445,9 @@ inline void pq_lut(const float* q, const float* book, std::size_t d,
 #else
 
 // Dispatched entry points: resolved once per process (CPU detection +
-// V2V_FORCE_SCALAR) and then a single indirect call per row operation.
+// V2V_FORCE_SCALAR), then one indirect call through the resolved
+// KernelSet per call. Loops that run many row operations per call site
+// (the SGD trainer) instantiate over RowOps instead.
 [[nodiscard]] float dot(const float* a, const float* b, std::size_t n) noexcept;
 void axpy(float alpha, const float* x, float* y, std::size_t n) noexcept;
 void scale(float* x, float alpha, std::size_t n) noexcept;
@@ -377,5 +522,41 @@ inline void prefetch_for_write(const void* p, std::size_t bytes,
 /// other than "" or "0". Read fresh on every call; dispatch samples it
 /// once at first use.
 [[nodiscard]] bool force_scalar_requested() noexcept;
+
+/// The SGD trainer's row operations for one ISA: the bodies that ISA's
+/// KernelSet points at (dot, add, scale, fill), plus axpy_pair, which
+/// stands for two of its axpy calls. The trainer instantiates its loop
+/// once per specialization (embed/trainer.cpp), and the parity suite
+/// checks each member against its KernelSet member bit for bit.
+template <Isa isa>
+struct RowOps;
+
+template <>
+struct RowOps<Isa::kScalar> {
+  static constexpr auto dot = &scalar::dot;
+  static constexpr auto add = &scalar::add;
+  static constexpr auto scale = &scalar::scale;
+  static constexpr auto fill = &scalar::fill;
+  static constexpr auto axpy_pair = &scalar::axpy_pair;
+};
+
+#if V2V_KERNELS_X86
+
+/// SSE2 keeps its own body for dot only (see kernels.cpp).
+template <>
+struct RowOps<Isa::kSse2> : RowOps<Isa::kScalar> {
+  static constexpr auto dot = &sse2::dot;
+};
+
+template <>
+struct RowOps<Isa::kAvx2> {
+  static constexpr auto dot = &avx2::dot;
+  static constexpr auto add = &avx2::add;
+  static constexpr auto scale = &avx2::scale;
+  static constexpr auto fill = &avx2::fill;
+  static constexpr auto axpy_pair = &avx2::axpy_pair;
+};
+
+#endif  // V2V_KERNELS_X86
 
 }  // namespace v2v::kernels

@@ -1,7 +1,6 @@
 #include "v2v/embed/embedding.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -62,48 +61,6 @@ Embedding Embedding::load_text_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("Embedding: cannot open " + path);
   return load_text(in);
-}
-
-namespace {
-constexpr char kMagic[8] = {'V', '2', 'V', 'E', 'M', 'B', '0', '1'};
-}
-
-void Embedding::save_binary_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("Embedding: cannot open " + path);
-  out.write(kMagic, sizeof(kMagic));
-  const std::uint64_t n = vertex_count(), d = dimensions();
-  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  out.write(reinterpret_cast<const char*>(&d), sizeof(d));
-  // The on-disk payload is dense n*d floats; in-memory rows are
-  // stride-padded, so write row by row.
-  for (std::size_t v = 0; v < vertex_count(); ++v) {
-    const auto r = vector(v);
-    out.write(reinterpret_cast<const char*>(r.data()),
-              static_cast<std::streamsize>(d * sizeof(float)));
-  }
-}
-
-Embedding Embedding::load_binary_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("Embedding: cannot open " + path);
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("Embedding: bad magic in " + path);
-  }
-  std::uint64_t n = 0, d = 0;
-  in.read(reinterpret_cast<char*>(&n), sizeof(n));
-  in.read(reinterpret_cast<char*>(&d), sizeof(d));
-  if (!in) throw std::runtime_error("Embedding: truncated header in " + path);
-  Embedding out(n, d);
-  for (std::uint64_t v = 0; v < n; ++v) {
-    const auto r = out.vectors_.row(v);
-    in.read(reinterpret_cast<char*>(r.data()),
-            static_cast<std::streamsize>(d * sizeof(float)));
-  }
-  if (!in) throw std::runtime_error("Embedding: truncated data in " + path);
-  return out;
 }
 
 }  // namespace v2v::embed

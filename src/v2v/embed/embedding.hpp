@@ -46,10 +46,6 @@ class Embedding {
   [[nodiscard]] static Embedding load_text(std::istream& in);
   [[nodiscard]] static Embedding load_text_file(const std::string& path);
 
-  /// Compact binary format (magic + dims + raw floats).
-  void save_binary_file(const std::string& path) const;
-  [[nodiscard]] static Embedding load_binary_file(const std::string& path);
-
  private:
   MatrixF vectors_;
 };

@@ -8,6 +8,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "v2v/common/aligned.hpp"
 #include "v2v/common/kernels.hpp"
@@ -42,28 +43,6 @@ struct EpochShard {
   std::uint64_t examples = 0;
 };
 
-// Hogwild note: `input` and `row` may be rows of the shared syn0/syn1
-// matrices concurrently touched by other workers; the kernels tolerate
-// that (SIMD on the fast paths, relaxed_load/relaxed_store scalar under
-// TSan, see common/kernels.hpp).
-
-/// One positive/negative pair update against output row `row`:
-/// grad = (label - sigma(f)) * lr; accumulates into `input_grad` and
-/// updates the output row in place. Returns the pair's loss contribution,
-/// read from the same sigmoid-table slot as sigma.
-/// Precondition: `input` never aliases `row` (CBOW passes the private neu1
-/// buffer; SkipGram passes a syn0 row while `row` is a syn1 row), so the
-/// two axpy passes equal the classic interleaved element loop.
-double pair_update(const SigmoidTable& sigmoid, const float* input, float* row,
-                   float* input_grad, std::size_t d, std::uint32_t label, float lr) {
-  const float f = kernels::dot(input, row, d);
-  const SigmoidTable::Entry& slot = sigmoid.entry(f);
-  const float g = (static_cast<float>(label) - slot.sigma) * lr;
-  kernels::axpy(g, row, input_grad, d);
-  kernels::axpy(g, input, row, d);
-  return slot.loss[label];
-}
-
 float current_lr(const TrainerState& state) {
   const auto done = static_cast<double>(
       state.tokens_processed.load(std::memory_order_relaxed));
@@ -76,16 +55,22 @@ float current_lr(const TrainerState& state) {
 /// Per-worker trainer: owns scratch buffers and the SGD inner loop for one
 /// sentence (walk). Shared by the corpus-backed and streaming drivers.
 ///
-/// Every target's hidden->output update runs in three steps. Plan draws
-/// the output rows it will touch (NS: the target, then the noise samples
-/// minus collisions; HS: the Huffman path) into plan_, in the order the
-/// update consumes them. Prefetch requests each planned syn1 row's cache
-/// lines for writing. Update assembles the input vector and runs the pair
-/// updates from plan_. The rows other workers keep writing are thus in
-/// flight while neu1 is assembled, instead of each pair's dot stalling on
-/// a line another core just dirtied. Nothing draws from the RNG between
-/// plan and update, so the stream — and every 1-thread result — is the
-/// same as drawing each sample just before its pair update.
+/// The loop is written once, over one ISA's kernels::RowOps, and compiled
+/// per ISA into a flattened entry point; the constructor picks the entry
+/// point of kernels::active_isa(), so a row operation is inlined code, not
+/// a dispatched call, and computes what the ISA's KernelSet member does.
+///
+/// An update trains one target against its planned output rows (NS: the
+/// target, then the noise samples minus collisions; HS: the Huffman path)
+/// from one input vector: the mean of the context rows under CBOW, one
+/// context row under SkipGram. The loop plans each update one ahead: it
+/// draws the next update's window and output rows, requests those rows'
+/// cache lines for writing, and only then runs the current update. The
+/// rows other workers keep writing are thus in flight for a whole update,
+/// instead of each pair's dot stalling on a line another core just
+/// dirtied. Updates draw nothing from the RNG, so the stream — and every
+/// 1-thread result — is the same as drawing each sample just before its
+/// pair update.
 class SentenceTrainer {
  public:
   SentenceTrainer(TrainerState& state, Rng rng)
@@ -95,13 +80,10 @@ class SentenceTrainer {
         neu1_(state.config.dimensions),
         grad_(state.config.dimensions),
         lr_(current_lr(state)),
-        prefetchw_(kernels::has_prefetchw()) {}
+        prefetchw_(kernels::has_prefetchw()),
+        sgd_(sgd_for(kernels::active_isa())) {}
 
   void train_sentence(std::span<const std::uint32_t> raw_walk) {
-    const std::size_t d = state_.config.dimensions;
-    const std::size_t window = state_.config.window;
-    const bool cbow = state_.config.architecture == Architecture::kCbow;
-
     sentence_.clear();
     for (const auto token : raw_walk) {
       if (!state_.keep_probability.empty() &&
@@ -110,41 +92,7 @@ class SentenceTrainer {
       }
       sentence_.push_back(token);
     }
-
-    for (std::size_t pos = 0; pos < sentence_.size(); ++pos) {
-      const std::uint32_t target = sentence_[pos];
-      // word2vec's randomized effective window: uniform in [1, window].
-      const std::size_t reduced = rng_.next_below(window);
-      const std::size_t lo = pos > window - reduced ? pos - (window - reduced) : 0;
-      const std::size_t hi = std::min(sentence_.size(), pos + (window - reduced) + 1);
-
-      if (cbow) {
-        const std::size_t context_count = hi - lo - 1;  // [lo, hi) minus pos
-        if (context_count == 0) continue;
-        plan_and_prefetch(target);
-        kernels::fill(neu1_.data(), 0.0f, d);
-        for (std::size_t c = lo; c < hi; ++c) {
-          if (c == pos) continue;
-          kernels::add(state_.syn0.row(sentence_[c]).data(), neu1_.data(), d);
-        }
-        kernels::scale(neu1_.data(), 1.0f / static_cast<float>(context_count), d);
-        shard_.loss += update_planned(neu1_.data());
-        ++shard_.examples;
-        for (std::size_t c = lo; c < hi; ++c) {
-          if (c == pos) continue;
-          kernels::add(grad_.data(), state_.syn0.row(sentence_[c]).data(), d);
-        }
-      } else {
-        for (std::size_t c = lo; c < hi; ++c) {
-          if (c == pos) continue;
-          plan_and_prefetch(target);
-          auto row = state_.syn0.row(sentence_[c]);
-          shard_.loss += update_planned(row.data());
-          ++shard_.examples;
-          kernels::add(grad_.data(), row.data(), d);
-        }
-      }
-    }
+    sgd_(*this);
 
     since_lr_update_ += raw_walk.size();
     if (since_lr_update_ >= 10000) {
@@ -168,43 +116,152 @@ class SentenceTrainer {
     std::uint32_t label;
   };
 
-  /// Draws `target`'s output rows into plan_ and prefetches each for
-  /// writing.
-  void plan_and_prefetch(std::uint32_t target) {
-    plan_.clear();
+  /// One update: target sentence_[pos], trained from the context
+  /// positions [lo, hi) other than pos — the whole window under CBOW, one
+  /// position under SkipGram.
+  struct Update {
+    std::size_t pos;
+    std::size_t lo;
+    std::size_t hi;
+  };
+
+  using Sgd = void (*)(SentenceTrainer&);
+
+  // One entry point per ISA. flatten inlines run_sgd and every row
+  // operation into it; GCC will not always_inline a target-attributed
+  // body into the default-target template itself.
+  [[gnu::flatten]] static void sgd_scalar(SentenceTrainer& trainer) {
+    trainer.run_sgd<kernels::RowOps<kernels::Isa::kScalar>>();
+  }
+#if V2V_KERNELS_X86
+  [[gnu::target("sse2"), gnu::flatten]] static void sgd_sse2(SentenceTrainer& trainer) {
+    trainer.run_sgd<kernels::RowOps<kernels::Isa::kSse2>>();
+  }
+  [[gnu::target("avx2,fma"), gnu::flatten]] static void sgd_avx2(
+      SentenceTrainer& trainer) {
+    trainer.run_sgd<kernels::RowOps<kernels::Isa::kAvx2>>();
+  }
+#endif
+
+  static Sgd sgd_for(kernels::Isa isa) {
+#if V2V_KERNELS_X86
+    if (isa == kernels::Isa::kAvx2) return &sgd_avx2;
+    if (isa == kernels::Isa::kSse2) return &sgd_sse2;
+#endif
+    (void)isa;
+    return &sgd_scalar;
+  }
+
+  /// The SGD loop over sentence_: word2vec's window draw per target, then
+  /// its updates, each planned one ahead of the one that runs.
+  template <class Ops>
+  void run_sgd() {
+    const std::size_t window = state_.config.window;
+    const bool cbow = state_.config.architecture == Architecture::kCbow;
+    Update current{};
+    bool pending = false;
+    // Plans `next` into next_plan_, prefetches its rows, then runs the
+    // update planned before it.
+    const auto plan_then_run_previous = [&](const Update& next) {
+      plan_rows(sentence_[next.pos], next_plan_);
+      prefetch_rows(next_plan_);
+      if (pending) run_update<Ops>(current);
+      std::swap(plan_, next_plan_);
+      current = next;
+      pending = true;
+    };
+    for (std::size_t pos = 0; pos < sentence_.size(); ++pos) {
+      // word2vec's randomized effective window: uniform in [1, window].
+      const std::size_t reduced = rng_.next_below(window);
+      const std::size_t lo = pos > window - reduced ? pos - (window - reduced) : 0;
+      const std::size_t hi = std::min(sentence_.size(), pos + (window - reduced) + 1);
+      if (cbow) {
+        if (hi - lo == 1) continue;  // no context besides pos
+        plan_then_run_previous({pos, lo, hi});
+      } else {
+        for (std::size_t c = lo; c < hi; ++c) {
+          if (c != pos) plan_then_run_previous({pos, c, c + 1});
+        }
+      }
+    }
+    if (pending) run_update<Ops>(current);
+  }
+
+  /// Draws `target`'s output rows into `rows`, in the order its update
+  /// trains them.
+  void plan_rows(std::uint32_t target, std::vector<PlannedRow>& rows) {
+    rows.clear();
     if (state_.config.objective == Objective::kNegativeSampling) {
-      plan_.push_back({target, 1});
+      rows.push_back({target, 1});
       for (std::size_t k = 0; k < state_.config.negative; ++k) {
         const auto sample = static_cast<std::uint32_t>(state_.noise.sample(rng_));
         if (sample == target) continue;  // word2vec skips collisions
-        plan_.push_back({sample, 0});
+        rows.push_back({sample, 0});
       }
     } else {
       const HuffmanCode& code = state_.huffman->code(target);
       for (std::size_t b = 0; b < code.code.size(); ++b) {
         // Huffman branch 0 is the "positive" direction, as in word2vec.
-        plan_.push_back({code.points[b], code.code[b] == 0 ? 1u : 0u});
+        rows.push_back({code.points[b], code.code[b] == 0 ? 1u : 0u});
       }
     }
+  }
+
+  /// Requests every cache line of `rows` for writing.
+  void prefetch_rows(const std::vector<PlannedRow>& rows) const {
     const std::size_t row_bytes = state_.config.dimensions * sizeof(float);
-    for (const PlannedRow& planned : plan_) {
+    for (const PlannedRow& planned : rows) {
       kernels::prefetch_for_write(state_.syn1.row(planned.row).data(), row_bytes,
                                   prefetchw_);
     }
   }
 
-  /// Update: trains the hidden->output layer for the planned rows given
-  /// the assembled input vector; fills grad_ with the back-propagated
-  /// gradient and returns the summed pair losses.
-  double update_planned(const float* input) {
+  /// Runs `update` against the rows in plan_: assembles the input vector,
+  /// runs each pair (grad = (label - sigma(f)) * lr, accumulated into
+  /// grad_ while the output row moves toward the input), then adds grad_
+  /// back to the context rows.
+  ///
+  /// Hogwild note: the syn0/syn1 rows read and written here may be
+  /// concurrently touched by other workers; the row operations tolerate
+  /// that (SIMD on the fast paths, relaxed_load/relaxed_store scalar under
+  /// TSan, see common/kernels.hpp). The input vector never aliases an
+  /// output row (CBOW passes the private neu1 buffer; SkipGram a syn0 row
+  /// while the output rows are syn1 rows), as axpy_pair requires.
+  template <class Ops>
+  void run_update(const Update& update) {
     const std::size_t d = state_.config.dimensions;
-    kernels::fill(grad_.data(), 0.0f, d);
+    const float* input = nullptr;
+    if (state_.config.architecture == Architecture::kCbow) {
+      Ops::fill(neu1_.data(), 0.0f, d);
+      for (std::size_t c = update.lo; c < update.hi; ++c) {
+        if (c == update.pos) continue;
+        Ops::add(state_.syn0.row(sentence_[c]).data(), neu1_.data(), d);
+      }
+      Ops::scale(neu1_.data(), 1.0f / static_cast<float>(update.hi - update.lo - 1), d);
+      input = neu1_.data();
+    } else {
+      input = state_.syn0.row(sentence_[update.lo]).data();
+    }
+    // Request the planned rows again: a no-op for lines this core still
+    // holds, while lines another worker took back since the plan are
+    // requested together here rather than one miss per pair.
+    prefetch_rows(plan_);
+    Ops::fill(grad_.data(), 0.0f, d);
     double loss = 0.0;
     for (const PlannedRow& planned : plan_) {
-      loss += pair_update(sigmoid_, input, state_.syn1.row(planned.row).data(),
-                          grad_.data(), d, planned.label, lr_);
+      float* row = state_.syn1.row(planned.row).data();
+      const SigmoidTable::Entry& slot = sigmoid_.entry(Ops::dot(input, row, d));
+      const float g = (static_cast<float>(planned.label) - slot.sigma) * lr_;
+      Ops::axpy_pair(g, input, row, grad_.data(), d);
+      // The pair's loss, from the same sigmoid-table slot as sigma.
+      loss += slot.loss[planned.label];
     }
-    return loss;
+    shard_.loss += loss;
+    ++shard_.examples;
+    for (std::size_t c = update.lo; c < update.hi; ++c) {
+      if (c == update.pos) continue;
+      Ops::add(grad_.data(), state_.syn0.row(sentence_[c]).data(), d);
+    }
   }
 
   TrainerState& state_;
@@ -212,10 +269,11 @@ class SentenceTrainer {
   Rng rng_;
   AlignedVector<float> neu1_, grad_;  // 64-byte aligned SGD scratch
   std::vector<std::uint32_t> sentence_;
-  std::vector<PlannedRow> plan_;
+  std::vector<PlannedRow> plan_, next_plan_;  // the running and the next update's rows
   EpochShard shard_;
   float lr_;
   bool prefetchw_;
+  Sgd sgd_;
   std::uint64_t since_lr_update_ = 0;
 };
 

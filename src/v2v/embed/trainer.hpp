@@ -12,12 +12,15 @@
 // vocabulary (a 1,000-vertex graph) the workers keep writing the same few
 // output rows, and each pair update would stall on a cache line another
 // core just dirtied. Three things keep that cost off the critical path:
-// each target's output rows are drawn first and prefetched for writing
-// before its input vector is assembled; each worker drains its own
+// each update's output rows are drawn one update ahead and prefetched for
+// writing while the update before them runs; each worker drains its own
 // contiguous range of the corpus before it steals (word2vec's per-thread
 // file split), so workers train different communities at once; and the
 // per-pair loss comes from the sigmoid table rather than std::log. None of
-// them changes the random stream or any 1-thread result.
+// them changes the random stream or any 1-thread result. The SGD loop is
+// compiled once per instruction set over that ISA's kernels::RowOps and
+// picked once per chunk, so its row operations are inlined, not
+// dispatched per call, and give the dispatched kernels' bits.
 //
 // Training reads its sentences either from a corpus, through the
 // walk::CorpusReader interface (the RAM walk::Corpus or a disk spool), or

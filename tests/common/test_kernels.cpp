@@ -4,13 +4,15 @@
 // register (8), and remainder-heavy sizes (100, 128, 129) — with negative
 // and denormal inputs mixed in. Float reductions may legitimately differ
 // across ISAs by reassociation, so comparisons are tolerance-checked
-// relative to the magnitude of the terms, not bit-exact.
+// relative to the magnitude of the terms, not bit-exact. The trainer's
+// RowOps are the exception: each must give its own ISA's KernelSet bytes.
 #include "v2v/common/kernels.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -304,6 +306,77 @@ TEST_F(KernelParity, Sq8KernelsBitMatchScalar) {
                             n),
                 dot_ref)
           << isa_name(isa) << " dims=" << n;
+    }
+  }
+}
+
+/// True when the first n floats of a and b are the same bytes.
+bool same_bytes(const float* a, const float* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+/// Checks RowOps<isa> against the KernelSet members it stands for, byte
+/// for byte: dot, add, scale and fill against theirs, axpy_pair against
+/// the trainer's former pair of axpy calls (grad += g*row, then
+/// row += g*input). Widths cover the scalar tails of both SIMD variants
+/// (1, 7, 13, and 100 = 12 x 8 + 4) and whole registers (8, 32).
+template <Isa isa>
+void expect_row_ops_match(const KernelSet& set) {
+  using Ops = RowOps<isa>;
+  for (const std::size_t n : {1, 7, 8, 13, 32, 100}) {
+    const auto a = make_input(n, 131 + n);
+    const auto b = make_input(n, 137 + n);
+    const float dot_want = set.dot(a.data(), b.data(), n);
+    const float dot_got = Ops::dot(a.data(), b.data(), n);
+    EXPECT_TRUE(same_bytes(&dot_got, &dot_want, 1)) << isa_name(isa) << " dot n=" << n;
+
+    AlignedVector<float> want(b);
+    AlignedVector<float> got(b);
+    set.add(a.data(), want.data(), n);
+    Ops::add(a.data(), got.data(), n);
+    EXPECT_TRUE(same_bytes(got.data(), want.data(), n))
+        << isa_name(isa) << " add n=" << n;
+    set.scale(want.data(), -1.75f, n);
+    Ops::scale(got.data(), -1.75f, n);
+    EXPECT_TRUE(same_bytes(got.data(), want.data(), n))
+        << isa_name(isa) << " scale n=" << n;
+    set.fill(want.data(), 0.0f, n);
+    Ops::fill(got.data(), 0.0f, n);
+    EXPECT_TRUE(same_bytes(got.data(), want.data(), n))
+        << isa_name(isa) << " fill n=" << n;
+
+    const auto input = make_input(n, 139 + n);
+    const float g = -0.37f;
+    AlignedVector<float> row_want(a);
+    AlignedVector<float> grad_want(b);
+    set.axpy(g, row_want.data(), grad_want.data(), n);
+    set.axpy(g, input.data(), row_want.data(), n);
+    AlignedVector<float> row_got(a);
+    AlignedVector<float> grad_got(b);
+    Ops::axpy_pair(g, input.data(), row_got.data(), grad_got.data(), n);
+    EXPECT_TRUE(same_bytes(grad_got.data(), grad_want.data(), n))
+        << isa_name(isa) << " axpy_pair grad n=" << n;
+    EXPECT_TRUE(same_bytes(row_got.data(), row_want.data(), n))
+        << isa_name(isa) << " axpy_pair row n=" << n;
+  }
+}
+
+TEST_F(KernelParity, RowOpsMatchTheirKernelSetBitForBit) {
+  for (const auto& [isa, set] : variants()) {
+    switch (isa) {
+      case Isa::kScalar:
+        expect_row_ops_match<Isa::kScalar>(set);
+        break;
+#if V2V_KERNELS_X86
+      case Isa::kSse2:
+        expect_row_ops_match<Isa::kSse2>(set);
+        break;
+      case Isa::kAvx2:
+        expect_row_ops_match<Isa::kAvx2>(set);
+        break;
+#endif
+      default:
+        ADD_FAILURE() << "no RowOps for " << isa_name(isa);
     }
   }
 }

@@ -4,8 +4,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "v2v/common/rng.hpp"
@@ -113,40 +111,8 @@ TEST(Embedding, TextLoadRejectsTruncatedRow) {
   EXPECT_THROW((void)Embedding::load_text(buffer), std::runtime_error);
 }
 
-TEST(Embedding, BinaryRoundTrip) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "v2v_embed_test.bin").string();
-  const Embedding e = small_embedding();
-  e.save_binary_file(path);
-  const Embedding back = Embedding::load_binary_file(path);
-  EXPECT_TRUE(back.matrix() == e.matrix());
-  std::filesystem::remove(path);
-}
-
-TEST(Embedding, BinaryRoundTripIsBitwiseExact) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "v2v_embed_bits.bin").string();
-  const Embedding e = random_embedding(23, 7, 77);
-  e.save_binary_file(path);
-  const Embedding back = Embedding::load_binary_file(path);
-  EXPECT_TRUE(bitwise_equal(e, back));
-  std::filesystem::remove(path);
-}
-
-TEST(Embedding, BinaryRejectsBadMagic) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "v2v_embed_bad.bin").string();
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "NOTAMODEL-------";
-  }
-  EXPECT_THROW((void)Embedding::load_binary_file(path), std::runtime_error);
-  std::filesystem::remove(path);
-}
-
 TEST(Embedding, MissingFilesThrow) {
   EXPECT_THROW((void)Embedding::load_text_file("/no/such/file"), std::runtime_error);
-  EXPECT_THROW((void)Embedding::load_binary_file("/no/such/file"), std::runtime_error);
 }
 
 }  // namespace

@@ -259,7 +259,7 @@ std::vector<OracleCase> all_cases() {
   for (const auto architecture : {Architecture::kCbow, Architecture::kSkipGram}) {
     for (const auto objective :
          {Objective::kNegativeSampling, Objective::kHierarchicalSoftmax}) {
-      for (const std::size_t dimensions : {13u, 32u}) {
+      for (const std::size_t dimensions : {13u, 32u, 100u}) {
         for (const std::size_t window : {1u, 5u}) {
           for (const double subsample : {0.0, 1e-3}) {
             cases.push_back({architecture, objective, dimensions, window, subsample});
