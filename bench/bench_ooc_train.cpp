@@ -1,24 +1,23 @@
 // Out-of-core training gate: identical fixed-seed training served from a
-// RAM-resident corpus vs the disk spool (walk/corpus_spool.hpp).
+// RAM-resident corpus vs the streamed corpus (walk/corpus_stream.hpp).
 //
 // Two tracks walk the same ring graph with the same seed. Track A holds
-// the corpus in RAM and trains from it; track B streams walk generation
-// into spool segments through the bounded buffer and trains straight off
-// the mapped files. Because the spool preserves walk order and content
-// exactly, the per-epoch loss trajectories must be bit-equal — the bench
-// asserts that, and gates spooled training throughput at >= 50% of the
-// in-RAM words/sec (committed baseline:
+// the corpus in RAM and trains from it; track B builds a StreamedCorpus
+// (one counting pass) and trains from walks redrawn on demand every
+// epoch. Because the stream replays the RAM corpus's walks in order, the
+// per-epoch loss trajectories must be bit-equal — the bench asserts that,
+// and gates streamed throughput, counting pass included, at >= 50% of
+// the in-RAM training words/sec (committed baseline:
 // bench/baselines/BENCH_ooc_train.json).
 //
-// Env V2V_OOC_SPOOL_ONLY=1 skips the RAM track entirely. The release lane
-// uses it under `ulimit -d` with a heap cap smaller than the corpus bytes:
-// the run can only succeed if training faults tokens through read-only
-// file-backed mappings instead of materializing the corpus (mmap pages are
-// exempt from RLIMIT_DATA; a heap allocation of corpus size would abort).
+// Env V2V_OOC_STREAM_ONLY=1 skips the RAM track entirely. The release
+// lane uses it under `ulimit -d` with a heap cap smaller than the corpus
+// bytes: the run can only succeed if training never materializes the
+// corpus (a heap allocation of corpus size would abort).
 //
 // Knobs: --vertices --walks --walk-length --dims --epochs --window
-// --buffer-mb --seed --spool-dir. Env V2V_BENCH_OUT overrides the baseline
-// output directory (default ./bench_out).
+// --seed. Env V2V_BENCH_OUT overrides the baseline output directory
+// (default ./bench_out).
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -28,7 +27,7 @@
 #include "v2v/common/timer.hpp"
 #include "v2v/embed/trainer.hpp"
 #include "v2v/graph/generators.hpp"
-#include "v2v/walk/corpus_spool.hpp"
+#include "v2v/walk/corpus_stream.hpp"
 #include "v2v/walk/walker.hpp"
 
 namespace v2v::bench {
@@ -47,9 +46,7 @@ struct BenchParams {
   std::size_t dims = 32;
   std::size_t epochs = 2;
   std::size_t window = 5;
-  std::size_t buffer_mb = 4;
   std::uint64_t seed = 17;
-  std::string spool_dir;
 
   static BenchParams from_args(const CliArgs& args) {
     BenchParams p;
@@ -59,9 +56,7 @@ struct BenchParams {
     p.dims = static_cast<std::size_t>(args.get_int("dims", 32));
     p.epochs = static_cast<std::size_t>(args.get_int("epochs", 2));
     p.window = static_cast<std::size_t>(args.get_int("window", 5));
-    p.buffer_mb = static_cast<std::size_t>(args.get_int("buffer-mb", 4));
     p.seed = static_cast<std::uint64_t>(args.get_int("seed", 17));
-    p.spool_dir = args.get("spool-dir", "");
     return p;
   }
 };
@@ -86,20 +81,17 @@ int main(int argc, char** argv) {
   using namespace v2v::bench;
   const CliArgs args(argc, argv);
   const BenchParams p = BenchParams::from_args(args);
-  const char* only_env = std::getenv("V2V_OOC_SPOOL_ONLY");
-  const bool spool_only =
+  const char* only_env = std::getenv("V2V_OOC_STREAM_ONLY");
+  const bool stream_only =
       only_env != nullptr && *only_env != '\0' && *only_env != '0';
 
   const auto out_dir = bench_out_dir();
   std::filesystem::create_directories(out_dir);
-  const std::string spool_dir =
-      !p.spool_dir.empty() ? p.spool_dir : (out_dir / "ooc_spool").string();
 
   const graph::Graph g = graph::make_ring(p.vertices);
   walk::WalkConfig walk_config;
   walk_config.walks_per_vertex = p.walks;
   walk_config.walk_length = p.walk_length;
-  walk_config.spool_buffer_mb = p.buffer_mb;
 
   embed::TrainConfig train_config;
   train_config.dimensions = p.dims;
@@ -114,37 +106,32 @@ int main(int argc, char** argv) {
   std::printf("== out-of-core training vs RAM-resident ==\n");
   std::printf(
       "ring %zu vertices, %zu walks x %zu steps (%zu tokens, %.1f MiB); "
-      "dims %zu, %zu epochs, buffer %zu MiB%s\n",
+      "dims %zu, %zu epochs%s\n",
       p.vertices, p.walks, p.walk_length, corpus_tokens,
       static_cast<double>(corpus_tokens * sizeof(graph::VertexId)) /
           (1024.0 * 1024.0),
-      p.dims, p.epochs, p.buffer_mb, spool_only ? " [spool-only]" : "");
+      p.dims, p.epochs, stream_only ? " [stream-only]" : "");
 
-  // Track B: stream walks to disk, train off the mapped segments.
-  WallTimer spool_walk_timer;
-  walk_config.spool_dir = spool_dir;
-  const walk::SpoolStats spool_stats =
-      walk::generate_corpus_spooled(g, walk_config, p.seed);
-  const double spool_walk_seconds = spool_walk_timer.seconds();
-  const walk::SpooledCorpus spooled = walk::SpooledCorpus::open(spool_dir);
-
-  TrackResult spool_track;
-  spool_track.walk_seconds = spool_walk_seconds;
+  // Track B: count once, then redraw the walks every epoch.
+  WallTimer count_timer;
+  const walk::StreamedCorpus stream(g, walk_config, p.seed);
+  TrackResult stream_track;
+  stream_track.walk_seconds = count_timer.seconds();
   {
     WallTimer timer;
-    auto result = embed::train_embedding(spooled, g.vertex_count(), train_config);
-    spool_track.train_seconds = timer.seconds();
-    spool_track.stats = std::move(result.stats);
+    auto result = embed::train_embedding(stream, g.vertex_count(), train_config);
+    stream_track.train_seconds = timer.seconds();
+    stream_track.stats = std::move(result.stats);
   }
-  spool_track.words_per_sec =
-      words_per_sec(spooled.token_count(), p.epochs, spool_track.train_seconds);
+  stream_track.words_per_sec =
+      words_per_sec(stream.token_count(), p.epochs,
+                    stream_track.walk_seconds + stream_track.train_seconds);
 
-  // Track A: the classic RAM-resident path (skipped under
-  // V2V_OOC_SPOOL_ONLY so the constrained lane never allocates the corpus).
+  // Track A: the RAM-resident path (skipped under V2V_OOC_STREAM_ONLY so
+  // the constrained lane never allocates the corpus).
   TrackResult ram_track;
   bool loss_parity = true;
-  if (!spool_only) {
-    walk_config.spool_dir.clear();
+  if (!stream_only) {
     WallTimer walk_timer;
     const walk::Corpus ram = walk::generate_corpus(g, walk_config, p.seed);
     ram_track.walk_seconds = walk_timer.seconds();
@@ -156,51 +143,46 @@ int main(int argc, char** argv) {
         words_per_sec(ram.token_count(), p.epochs, ram_track.train_seconds);
 
     loss_parity =
-        ram_track.stats.epoch_loss == spool_track.stats.epoch_loss &&
-        ram_track.stats.examples == spool_track.stats.examples;
+        ram_track.stats.epoch_loss == stream_track.stats.epoch_loss &&
+        ram_track.stats.examples == stream_track.stats.examples;
   }
-  for (const double loss : spool_track.stats.epoch_loss) {
+  for (const double loss : stream_track.stats.epoch_loss) {
     if (!std::isfinite(loss)) loss_parity = false;
   }
 
   const double ratio = ram_track.words_per_sec > 0.0
-                           ? spool_track.words_per_sec / ram_track.words_per_sec
+                           ? stream_track.words_per_sec / ram_track.words_per_sec
                            : 1.0;
 
   Table table({"track", "walk_s", "train_s", "words/s"});
-  if (!spool_only) {
+  if (!stream_only) {
     table.add_row({"ram", fmt(ram_track.walk_seconds),
                    fmt(ram_track.train_seconds),
                    fmt(ram_track.words_per_sec, 0)});
   }
-  table.add_row({"spool", fmt(spool_track.walk_seconds),
-                 fmt(spool_track.train_seconds),
-                 fmt(spool_track.words_per_sec, 0)});
+  table.add_row({"stream", fmt(stream_track.walk_seconds),
+                 fmt(stream_track.train_seconds),
+                 fmt(stream_track.words_per_sec, 0)});
   table.print(std::cout);
 
   obs::MetricsRegistry baseline;
   baseline.gauge("ooc_bench.corpus_tokens")
-      .set(static_cast<double>(spooled.token_count()));
+      .set(static_cast<double>(stream.token_count()));
   baseline.gauge("ooc_bench.ram_words_per_sec").set(ram_track.words_per_sec);
-  baseline.gauge("ooc_bench.spool_words_per_sec")
-      .set(spool_track.words_per_sec);
+  baseline.gauge("ooc_bench.stream_words_per_sec")
+      .set(stream_track.words_per_sec);
   baseline.gauge("ooc_bench.throughput_ratio").set(ratio);
   baseline.gauge("ooc_bench.loss_parity").set(loss_parity ? 1.0 : 0.0);
-  baseline.gauge("ooc_bench.spool_only").set(spool_only ? 1.0 : 0.0);
-  baseline.gauge("spool.segments")
-      .set(static_cast<double>(spool_stats.segments));
-  baseline.gauge("spool.bytes_written")
-      .set(static_cast<double>(spool_stats.bytes_written));
+  baseline.gauge("ooc_bench.stream_only").set(stream_only ? 1.0 : 0.0);
   baseline.gauge("process.peak_rss_bytes")
       .set(static_cast<double>(obs::peak_rss_bytes()));
 
   const auto path = (out_dir / "BENCH_ooc_train.json").string();
   obs::write_json_file(baseline, path);
-  std::filesystem::remove_all(spool_dir);
 
-  if (spool_only) {
-    std::printf("\nspool-only: %.0f words/s, losses finite: %s -> %s\n",
-                spool_track.words_per_sec, loss_parity ? "yes" : "no",
+  if (stream_only) {
+    std::printf("\nstream-only: %.0f words/s, losses finite: %s -> %s\n",
+                stream_track.words_per_sec, loss_parity ? "yes" : "no",
                 path.c_str());
     return loss_parity ? 0 : 1;
   }

@@ -5,11 +5,11 @@
 //   v2v_tool embed <edges.txt> --output=vectors.txt [--dims=50] [--directed]
 //            [--config=saved.cfg] [--save-config=out.cfg]
 //            [--save-snapshot=model.v2v]   (resume-capable v3 snapshot)
-//            [--corpus-spool=<dir>]        (out-of-core walk corpus)
+//            [--streaming]                 (out-of-core walk corpus)
 //   v2v_tool refresh <model.v2v> <edges.txt> <deltas.txt> --output=new.v2v
 //            [--save-edges=new_edges.txt] [--full-retrain]
 //            [--refresh-epochs=2] [--refresh-lr=x] [--epochs=N]
-//            [--corpus-spool=<dir>]        (out-of-core walk corpus)
+//            [--streaming]                 (out-of-core walk corpus)
 //   v2v_tool communities <edges.txt> [--k=10] [--auto-k] [--threads=N]
 //            [--method=v2v|cnm|gn|louvain|lp]
 //   v2v_tool predict <vectors.txt> <labels.txt> [--k=3] [--folds=10]
@@ -89,11 +89,9 @@ V2VConfig config_from_args(const CliArgs& args) {
   config.seed = static_cast<std::uint64_t>(args.get_int(
       "seed", static_cast<std::int64_t>(config.seed)));
   if (args.get_bool("temporal")) config.walk.temporal = true;
-  // --corpus-spool=<dir>: stream walks to disk segments and train from
-  // the mmap'd spool (out-of-core path; same results, O(buffer) RSS).
-  if (args.has("corpus-spool")) {
-    config.walk.spool_dir = args.get("corpus-spool", "");
-  }
+  // --streaming: redraw the walks on demand instead of holding the corpus
+  // in RAM (out-of-core path; same results, O(n) heap for the corpus).
+  if (args.get_bool("streaming")) config.walk.streaming = true;
   // --threads feeds every stage that doesn't already have an explicit
   // count from a config file (walk/train/kmeans all default to 1).
   if (args.has("threads")) {
@@ -188,8 +186,8 @@ int cmd_refresh(const CliArgs& args) {
   walk_config.walks_per_vertex = checkpoint.walks_per_vertex;
   walk_config.walk_length = checkpoint.walk_length;
   walk_config.threads = threads;
-  // Spool the refreshed corpus to disk and train off it instead of RAM.
-  walk_config.spool_dir = args.get("corpus-spool", "");
+  // Stream the refreshed corpus instead of holding it in RAM.
+  walk_config.streaming = args.get_bool("streaming");
   embed::TrainConfig train_config;
   train_config.dimensions = checkpoint.dimensions;
   train_config.window = checkpoint.window;
@@ -382,13 +380,13 @@ int main(int argc, char** argv) {
     if (command == "embed" && n >= 2) {
       return run({"config", "dims", "walks", "walk-length", "epochs", "seed",
                   "temporal", "threads", "directed", "metrics-out", "output",
-                  "save-config", "save-snapshot", "corpus-spool"},
+                  "save-config", "save-snapshot", "streaming"},
                  cmd_embed);
     }
     if (command == "refresh" && n >= 4) {
       return run({"output", "save-edges", "full-retrain", "refresh-epochs",
                   "refresh-lr", "epochs", "threads", "directed", "metrics-out",
-                  "corpus-spool"},
+                  "streaming"},
                  cmd_refresh);
     }
     if (command == "communities" && n >= 2) {

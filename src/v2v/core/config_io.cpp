@@ -40,7 +40,6 @@ ml::KMeansAssign parse_assign(std::string_view value) {
 void save_config(const V2VConfig& config, std::ostream& out) {
   out << "# V2V configuration\n";
   out << "seed = " << config.seed << '\n';
-  out << "streaming = " << (config.streaming ? 1 : 0) << '\n';
   out << "walk.walks_per_vertex = " << config.walk.walks_per_vertex << '\n';
   out << "walk.walk_length = " << config.walk.walk_length << '\n';
   out << "walk.bias = " << bias_name(config.walk.bias) << '\n';
@@ -48,8 +47,7 @@ void save_config(const V2VConfig& config, std::ostream& out) {
   out << "walk.time_window = " << config.walk.time_window << '\n';
   out << "walk.threads = " << config.walk.threads << '\n';
   out << "walk.grain = " << config.walk.grain << '\n';
-  out << "walk.spool_dir = " << config.walk.spool_dir << '\n';
-  out << "walk.spool_buffer_mb = " << config.walk.spool_buffer_mb << '\n';
+  out << "walk.streaming = " << (config.walk.streaming ? 1 : 0) << '\n';
   out << "train.dimensions = " << config.train.dimensions << '\n';
   out << "train.window = " << config.train.window << '\n';
   out << "train.architecture = "
@@ -106,8 +104,6 @@ V2VConfig load_config(std::istream& in) {
 
   const std::map<std::string, std::function<void(std::string_view)>> setters{
       {"seed", [&](std::string_view v) { as_u64(v, config.seed); }},
-      {"streaming",
-       [&](std::string_view v) { config.streaming = v == "1" || v == "true"; }},
       {"walk.walks_per_vertex",
        [&](std::string_view v) { as_size(v, config.walk.walks_per_vertex); }},
       {"walk.walk_length",
@@ -120,10 +116,8 @@ V2VConfig load_config(std::istream& in) {
        [&](std::string_view v) { as_double(v, config.walk.time_window); }},
       {"walk.threads", [&](std::string_view v) { as_size(v, config.walk.threads); }},
       {"walk.grain", [&](std::string_view v) { as_size(v, config.walk.grain); }},
-      {"walk.spool_dir",
-       [&](std::string_view v) { config.walk.spool_dir = std::string(v); }},
-      {"walk.spool_buffer_mb",
-       [&](std::string_view v) { as_size(v, config.walk.spool_buffer_mb); }},
+      {"walk.streaming",
+       [&](std::string_view v) { config.walk.streaming = v == "1" || v == "true"; }},
       {"train.dimensions",
        [&](std::string_view v) { as_size(v, config.train.dimensions); }},
       {"train.window", [&](std::string_view v) { as_size(v, config.train.window); }},

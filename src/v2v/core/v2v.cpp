@@ -10,7 +10,7 @@
 #include "v2v/ml/pca.hpp"
 #include "v2v/ml/silhouette.hpp"
 #include "v2v/obs/metrics.hpp"
-#include "v2v/walk/corpus_spool.hpp"
+#include "v2v/walk/corpus_stream.hpp"
 
 namespace v2v {
 
@@ -33,26 +33,16 @@ V2VModel learn_embedding(const graph::Graph& g, const V2VConfig& config) {
     train_config.seed = splitmix64(sm);
   }
 
-  // Pick the corpus once: streamed, or spooled or RAM-resident through
-  // walk::with_corpus. The checkpoint's walk identity is stamped once,
-  // after the choice.
+  // walk::with_corpus picks the RAM or the streamed corpus; either trains
+  // the same bits. The checkpoint's walk identity is stamped once, after.
   embed::TrainResult result;
-  if (config.streaming) {
-    // Walk generation happens inside the trainer; walk_seconds stays 0,
-    // corpus_tokens stays 0 (never materialized) and corpus_walks reports
-    // the per-epoch walk budget.
-    train_config.seed ^= walk_seed;
-    result = embed::train_embedding_streaming(g, walk_config, train_config);
-    model.corpus_walks = g.vertex_count() * walk_config.walks_per_vertex;
-  } else {
-    const walk::CorpusRun run = walk::with_corpus(
-        g, walk_config, walk_seed, [&](const walk::CorpusReader& corpus) {
-          result = embed::train_embedding(corpus, g.vertex_count(), train_config);
-        });
-    model.walk_seconds = run.walk_seconds;
-    model.corpus_walks = run.walks;
-    model.corpus_tokens = run.tokens;
-  }
+  const walk::CorpusRun run = walk::with_corpus(
+      g, walk_config, walk_seed, [&](const walk::CorpusReader& corpus) {
+        result = embed::train_embedding(corpus, g.vertex_count(), train_config);
+      });
+  model.walk_seconds = run.walk_seconds;
+  model.corpus_walks = run.walks;
+  model.corpus_tokens = run.tokens;
   model.train_seconds = result.stats.train_seconds;
   model.train_stats = std::move(result.stats);
   model.embedding = std::move(result.embedding);

@@ -34,7 +34,10 @@ namespace v2v {
 
 struct V2VConfig {
   /// Random-walk stage parameters (paper §II-A defaults: t = 1000 walks of
-  /// ℓ = 1000 vertices; the struct defaults are laptop-scale).
+  /// ℓ = 1000 vertices; the struct defaults are laptop-scale). Set
+  /// walk.streaming for budgets whose corpus would not fit in memory: the
+  /// walks are then redrawn on demand (walk::StreamedCorpus), with the
+  /// same embedding bits at 1 thread.
   walk::WalkConfig walk;
   /// CBOW/SkipGram SGD parameters (paper §II-B defaults: CBOW, window
   /// n = 5, negative sampling).
@@ -50,11 +53,6 @@ struct V2VConfig {
   /// Master seed; when nonzero it derives the walk and train seeds so one
   /// knob controls full reproducibility.
   std::uint64_t seed = 42;
-  /// When true, walks are generated on the fly during SGD instead of
-  /// materializing the corpus (embed::train_embedding_streaming). Use for
-  /// paper-scale walk budgets (t = l = 1000) whose corpus would not fit
-  /// in memory. Fresh walks are drawn each epoch.
-  bool streaming = false;
   /// Optional observability sink. When set, learn_embedding propagates it
   /// into the walk and train stages (unless those configs already carry
   /// their own registry) and wraps the run in a "learn_embedding" stage
@@ -66,10 +64,13 @@ struct V2VConfig {
 struct V2VModel {
   embed::Embedding embedding;            ///< one dims-vector per vertex
   embed::TrainStats train_stats;         ///< per-epoch losses, example counts
-  double walk_seconds = 0.0;             ///< corpus generation wall time (s; 0 when streaming)
+  /// Corpus generation wall time (s): the RAM corpus's walks, or the
+  /// streamed corpus's counting pass (its per-epoch redraws count as
+  /// training time).
+  double walk_seconds = 0.0;
   double train_seconds = 0.0;            ///< SGD wall time (s)
-  std::size_t corpus_walks = 0;          ///< walks generated (count)
-  std::size_t corpus_tokens = 0;         ///< corpus vertices incl. starts (count; 0 when streaming)
+  std::size_t corpus_walks = 0;          ///< walks in the corpus (count)
+  std::size_t corpus_tokens = 0;         ///< corpus vertices incl. starts (count)
   /// Warm-start state for dynamic refresh / snapshot v3; populated only
   /// when config.train.capture_checkpoint was set.
   std::optional<embed::TrainerCheckpoint> checkpoint;

@@ -216,31 +216,15 @@ bool DynamicGraph::has_edge(graph::VertexId u, graph::VertexId v) const {
                      [&](std::uint32_t id) { return records_[id].alive; });
 }
 
-std::vector<graph::VertexId> DynamicGraph::dirty_vertices() const {
-  LockGuard lock(mutex_);
-  std::vector<graph::VertexId> out;
-  out.reserve(dirty_count_);
-  for (std::size_t v = 0; v < dirty_.size(); ++v) {
-    if (dirty_[v]) out.push_back(static_cast<graph::VertexId>(v));
-  }
-  return out;
-}
-
 std::size_t DynamicGraph::dirty_count() const {
   LockGuard lock(mutex_);
   return dirty_count_;
 }
 
-std::vector<graph::VertexId> DynamicGraph::drain_dirty() {
+std::size_t DynamicGraph::drain_dirty() {
   LockGuard lock(mutex_);
-  std::vector<graph::VertexId> out;
-  out.reserve(dirty_count_);
-  for (std::size_t v = 0; v < dirty_.size(); ++v) {
-    if (dirty_[v]) out.push_back(static_cast<graph::VertexId>(v));
-  }
   std::fill(dirty_.begin(), dirty_.end(), false);
-  dirty_count_ = 0;
-  return out;
+  return std::exchange(dirty_count_, 0);
 }
 
 bool DynamicGraph::compaction_due_locked() const {

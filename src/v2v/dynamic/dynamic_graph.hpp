@@ -10,8 +10,8 @@
 // graph from the merged edge set (tested in tests/dynamic/).
 //
 // Every mutation marks both endpoints dirty; a refresh round drains the
-// dirty set only to report its size (RefreshStats::dirty_vertices) —
-// every round walks the whole compacted graph. All public
+// dirty set only to count it (RefreshStats::dirty_vertices) — every
+// round walks the whole compacted graph. All public
 // methods are thread-safe (internal v2v::Mutex, rank kDynamicGraph);
 // the one exception is base(), which returns a reference that is only
 // stable while no thread compacts — see its comment.
@@ -103,11 +103,10 @@ class DynamicGraph {
   [[nodiscard]] std::size_t merged_degree(graph::VertexId v) const;
   [[nodiscard]] bool has_edge(graph::VertexId u, graph::VertexId v) const;
 
-  /// Vertices whose neighborhood changed since the last drain, sorted.
-  [[nodiscard]] std::vector<graph::VertexId> dirty_vertices() const;
+  /// Distinct vertices whose neighborhood changed since the last drain.
   [[nodiscard]] std::size_t dirty_count() const;
-  /// Returns the sorted dirty set and clears it.
-  [[nodiscard]] std::vector<graph::VertexId> drain_dirty();
+  /// Returns dirty_count() and clears the dirty set.
+  [[nodiscard]] std::size_t drain_dirty();
 
   /// The CSR as of the last compaction. The reference is stable only
   /// while no thread calls compact()/maybe_compact(); the refresh driver

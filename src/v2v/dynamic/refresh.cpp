@@ -7,7 +7,7 @@
 #include "v2v/common/rng.hpp"
 #include "v2v/common/timer.hpp"
 #include "v2v/obs/metrics.hpp"
-#include "v2v/walk/corpus_spool.hpp"
+#include "v2v/walk/corpus_stream.hpp"
 
 namespace v2v::dynamic {
 
@@ -122,7 +122,7 @@ RefreshStats RefreshSession::full_retrain() { return run_round(/*cold=*/true); }
 
 RefreshStats RefreshSession::run_round(bool cold) {
   const WallTimer total_timer;
-  const std::size_t dirty = graph_.drain_dirty().size();
+  const std::size_t dirty = graph_.drain_dirty();
   graph_.compact();
   RefreshStats stats = train(cold);
   stats.dirty_vertices = dirty;

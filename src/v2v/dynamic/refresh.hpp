@@ -6,9 +6,9 @@
 // corpus of the compacted graph, train on it and drop it. A refresh()
 // round:
 //
-//   drain dirty set -> compact the graph -> generate the corpus of
-//   graph.base() at the walk seed (walk::with_corpus: spooled when
-//   walk_config.spool_dir is set, in RAM otherwise) -> continue SGD from
+//   drain dirty set -> compact the graph -> build the corpus of
+//   graph.base() at the walk seed (walk::with_corpus: streamed when
+//   walk_config.streaming is set, in RAM otherwise) -> continue SGD from
 //   the warm embedding + checkpoint (embed::train_embedding_resume) for a
 //   few cheap epochs -> drop the corpus.
 //

@@ -53,7 +53,7 @@ float current_lr(const TrainerState& state) {
 }
 
 /// Per-worker trainer: owns scratch buffers and the SGD inner loop for one
-/// sentence (walk). Shared by the corpus-backed and streaming drivers.
+/// sentence (walk); one trains each chunk of an epoch.
 ///
 /// The loop is written once, over one ISA's kernels::RowOps, and compiled
 /// per ISA into a flattened entry point; the constructor picks the entry
@@ -310,9 +310,9 @@ void initialize_vectors(TrainerState& state, std::size_t vocab_size) {
   }
 }
 
-/// Sets up the output layer and noise/Huffman structures from a frequency
-/// profile (corpus counts, or a degree proxy for streaming). Returns the
-/// HuffmanTree by value so its storage outlives the training loop.
+/// Sets up the output layer and noise/Huffman structures from the corpus's
+/// frequency profile. Returns the HuffmanTree by value so its storage
+/// outlives the training loop.
 std::unique_ptr<HuffmanTree> initialize_objective(
     TrainerState& state, std::span<const std::uint64_t> frequencies) {
   std::unique_ptr<HuffmanTree> huffman;
@@ -347,21 +347,17 @@ void initialize_subsampling(TrainerState& state,
   }
 }
 
-/// Pushes one chunk's sentences through that chunk's trainer.
-using SentenceFeed = std::function<void(SentenceTrainer&)>;
-/// Trains chunk `chunk` of the current epoch from `feed`.
-using ChunkTrainer = std::function<void(std::size_t chunk, const SentenceFeed& feed)>;
-
-/// The chunked epoch loop the corpus and streaming drivers share. Each
-/// epoch, `run_chunks(epoch, train_chunk)` calls train_chunk once for
-/// every chunk, from whichever worker claims it. Chunk c of epoch e trains
-/// through a SentenceTrainer seeded root.fork(e * chunks + c), and the
-/// per-chunk stats are summed in chunk order, so results depend only on
-/// (seed, grain), never on the schedule (exact with 1 thread;
-/// Hogwild-racy above).
-TrainResult run_training(
-    TrainerState& state, std::size_t grain, std::size_t chunks,
-    const std::function<void(std::size_t, const ChunkTrainer&)>& run_chunks) {
+/// The chunked epoch loop. Chunks are `grain` walks, resolved from
+/// walk_count alone, so the RAM and the streamed corpus train
+/// bit-identically. Chunk c of epoch e trains through a SentenceTrainer
+/// seeded root.fork(e * chunks + c) on one for_each_walk call over its
+/// walks, and the per-chunk stats are summed in chunk order, so results
+/// depend only on (seed, grain), never on the schedule (exact with 1
+/// thread; Hogwild-racy above). Each worker owns a contiguous home range
+/// of chunks (parallel_for_dynamic) and steals only once it is drained:
+/// on a start-vertex-ordered corpus the workers then train different
+/// communities at once instead of sharing one community's output rows.
+TrainResult run_training(TrainerState& state, const walk::CorpusReader& corpus) {
   WallTimer timer;
   TrainResult result;
   double prev_loss = 0.0;
@@ -369,6 +365,11 @@ TrainResult run_training(
   obs::MetricsRegistry* metrics = config.metrics;
   const obs::ScopedTimer train_span(metrics, "train");
   const Rng root(config.seed ^ 0xd1b54a32d192ed03ULL);
+  const std::size_t threads = std::max<std::size_t>(1, config.threads);
+  const std::size_t walks = corpus.walk_count();
+  const std::size_t grain =
+      config.grain != 0 ? config.grain : default_grain(walks, threads);
+  const std::size_t chunks = chunk_count(walks, grain);
 
   if (metrics != nullptr) {
     metrics->gauge("train.grain").set(static_cast<double>(grain));
@@ -381,11 +382,16 @@ TrainResult run_training(
     const std::uint64_t tokens_before =
         state.tokens_processed.load(std::memory_order_relaxed);
     std::vector<EpochShard> shards(chunks);
-    run_chunks(epoch, [&](std::size_t chunk, const SentenceFeed& feed) {
-      SentenceTrainer trainer(state, root.fork(epoch * chunks + chunk));
-      feed(trainer);
-      shards[chunk] = trainer.finish();
-    });
+    parallel_for_dynamic(
+        threads, walks, grain,
+        [&](std::size_t /*worker*/, std::size_t chunk, std::size_t begin,
+            std::size_t end) {
+          SentenceTrainer trainer(state, root.fork(epoch * chunks + chunk));
+          corpus.for_each_walk(begin, end, [&](std::span<const graph::VertexId> walk) {
+            trainer.train_sentence(walk);
+          });
+          shards[chunk] = trainer.finish();
+        });
     EpochShard totals;
     for (const auto& shard : shards) {
       totals.loss += shard.loss;
@@ -458,39 +464,6 @@ TrainResult run_training(
   return result;
 }
 
-/// Corpus-backed training: chunks of `grain` walks, resolved from
-/// walk_count alone, so RAM-resident and spooled corpora train
-/// bit-identically. Each worker owns a contiguous home range of chunks
-/// (parallel_for_dynamic) and steals only once it is drained: on a
-/// start-vertex-ordered corpus the workers then train different
-/// communities at once instead of sharing one community's output rows.
-/// Claiming order changes, results do not.
-TrainResult run_corpus_training(TrainerState& state,
-                                const walk::CorpusReader& corpus) {
-  const std::size_t threads = std::max<std::size_t>(1, state.config.threads);
-  const std::size_t walks = corpus.walk_count();
-  const std::size_t grain =
-      state.config.grain != 0 ? state.config.grain : default_grain(walks, threads);
-  return run_training(
-      state, grain, chunk_count(walks, grain),
-      [&](std::size_t /*epoch*/, const ChunkTrainer& train_chunk) {
-        parallel_for_dynamic(
-            threads, walks, grain,
-            [&](std::size_t /*worker*/, std::size_t chunk, std::size_t begin,
-                std::size_t end) {
-              // Kick off readahead for the whole chunk before the SGD loop
-              // starts faulting token pages one walk at a time (no-op for
-              // the in-RAM corpus).
-              corpus.prefetch(begin, end);
-              train_chunk(chunk, [&](SentenceTrainer& trainer) {
-                for (std::size_t w = begin; w < end; ++w) {
-                  trainer.train_sentence(corpus.walk(w));
-                }
-              });
-            });
-      });
-}
-
 }  // namespace
 
 TrainResult train_embedding(const walk::CorpusReader& corpus,
@@ -511,7 +484,7 @@ TrainResult train_embedding(const walk::CorpusReader& corpus,
   initialize_subsampling(state, std::span<const std::uint64_t>(frequencies),
                          corpus.token_count());
 
-  TrainResult result = run_corpus_training(state, corpus);
+  TrainResult result = run_training(state, corpus);
   if (result.checkpoint) result.checkpoint->frequencies = frequencies;
   return result;
 }
@@ -603,7 +576,7 @@ TrainResult train_embedding_resume(const walk::CorpusReader& corpus,
   initialize_subsampling(state, std::span<const std::uint64_t>(new_frequencies),
                          corpus.token_count());
 
-  TrainResult result = run_corpus_training(state, corpus);
+  TrainResult result = run_training(state, corpus);
   if (result.checkpoint) {
     result.checkpoint->frequencies =
         config.objective == Objective::kHierarchicalSoftmax
@@ -615,61 +588,6 @@ TrainResult train_embedding_resume(const walk::CorpusReader& corpus,
     result.checkpoint->walk_seed = checkpoint.walk_seed;
     result.checkpoint->refresh_rounds = checkpoint.refresh_rounds + 1;
   }
-  return result;
-}
-
-TrainResult train_embedding_streaming(const graph::Graph& g,
-                                      const walk::WalkConfig& walk_config,
-                                      const TrainConfig& config) {
-  validate_config(config);
-  const std::size_t vocab_size = g.vertex_count();
-  if (vocab_size == 0) throw std::invalid_argument("train: empty graph");
-
-  TrainerState state(config);
-  state.planned_tokens = std::max<std::uint64_t>(
-      1, config.epochs * vocab_size * walk_config.walks_per_vertex *
-             walk_config.walk_length);
-  initialize_vectors(state, vocab_size);
-
-  // Visit-frequency proxy: weighted out-degree + 1 (exact stationary
-  // distribution for uniform walks on connected undirected graphs).
-  std::vector<std::uint64_t> frequencies(vocab_size);
-  std::uint64_t total_proxy = 0;
-  for (graph::VertexId v = 0; v < vocab_size; ++v) {
-    frequencies[v] = static_cast<std::uint64_t>(
-                         std::llround(g.weighted_out_degree(v) * 16.0)) + 1;
-    total_proxy += frequencies[v];
-  }
-  const auto huffman =
-      initialize_objective(state, std::span<const std::uint64_t>(frequencies));
-  initialize_subsampling(state, std::span<const std::uint64_t>(frequencies),
-                         total_proxy);
-
-  // The walk driver splits start vertices by this run's threads and grain;
-  // fresh walks every epoch: start vertex v draws from stream epoch*n + v.
-  const walk::Walker walker(g, walk_config);
-  walk::WalkConfig layout = walk_config;
-  layout.threads = config.threads;
-  layout.grain = config.grain;
-  layout.metrics = nullptr;
-  const walk::CorpusDriver driver(vocab_size, layout, config.seed ^ 0x94d049bb133111ebULL);
-  const auto walk_from = std::bind_front(&walk::Walker::walk_from, &walker);
-  TrainResult result = run_training(
-      state, driver.grain(), driver.chunks(),
-      [&](std::size_t epoch, const ChunkTrainer& train_chunk) {
-        driver.run([&](const walk::WalkChunk& chunk) {
-          train_chunk(chunk.index, [&](SentenceTrainer& trainer) {
-            driver.walk_chunk(
-                walk_from, chunk,
-                [&](std::span<const graph::VertexId> walk) {
-                  trainer.train_sentence(walk);
-                },
-                epoch * vocab_size);
-          });
-          return std::size_t{0};  // no walk telemetry
-        });
-      });
-  if (result.checkpoint) result.checkpoint->frequencies = frequencies;
   return result;
 }
 

@@ -22,12 +22,12 @@
 // picked once per chunk, so its row operations are inlined, not
 // dispatched per call, and give the dispatched kernels' bits.
 //
-// Training reads its sentences either from a corpus, through the
-// walk::CorpusReader interface (the RAM walk::Corpus or a disk spool), or
-// straight from the walk driver (walk::CorpusDriver) when streaming.
-// Both run one chunked epoch loop: chunk c of epoch e trains through a
+// Training reads its sentences through the walk::CorpusReader interface:
+// the RAM walk::Corpus, or the walk::StreamedCorpus that redraws the same
+// walks on demand. One chunked epoch loop serves both: chunk c of epoch e
+// makes one for_each_walk call over its walks and trains them through a
 // trainer seeded from (seed, e, c), so a fixed (seed, grain) gives the
-// same 1-thread bits on the RAM corpus and on its spool.
+// same 1-thread bits on the RAM corpus and on its stream.
 //
 // Early stopping reproduces the paper's Fig 7 behaviour (training time
 // decreases as community structure strengthens): when the relative
@@ -42,7 +42,6 @@
 #include "v2v/embed/embedding.hpp"
 #include "v2v/walk/corpus.hpp"
 #include "v2v/walk/corpus_reader.hpp"
-#include "v2v/walk/walker.hpp"
 
 namespace v2v::obs {
 class MetricsRegistry;
@@ -154,8 +153,8 @@ struct TrainResult {
   std::optional<TrainerCheckpoint> checkpoint;
 };
 
-/// Trains vertex embeddings from a walk corpus: the RAM walk::Corpus or a
-/// disk spool (walk::SpooledCorpus). `vocab_size` must be at least
+/// Trains vertex embeddings from a walk corpus: the RAM walk::Corpus or
+/// its walk::StreamedCorpus. `vocab_size` must be at least
 /// max(token)+1; vertices that never appear in the corpus keep their
 /// small random initial vectors. Chunk geometry and RNG streams depend
 /// only on (walk_count, seed, grain), so a fixed-seed run produces
@@ -180,20 +179,5 @@ struct TrainResult {
                                                  const Embedding& warm_start,
                                                  const TrainerCheckpoint& checkpoint,
                                                  const TrainConfig& config);
-
-/// Streaming variant: generates walks on the fly and trains on each walk
-/// immediately, never materializing the corpus. At the paper's full scale
-/// (t = l = 1000 on 1000 vertices) the corpus is ~10^9 tokens, far beyond
-/// memory; this path trains in O(vocab x dims) space instead. The walk
-/// driver splits the start vertices by this run's threads and grain, and
-/// fresh walks are drawn every epoch (a mild regularizer vs. the
-/// materialized path).
-/// The negative-sampling noise distribution and the Huffman tree use the
-/// weighted out-degree as the visit-frequency proxy — exact for uniform
-/// walks on undirected graphs (stationary distribution ~ degree) and a
-/// close approximation otherwise.
-[[nodiscard]] TrainResult train_embedding_streaming(const graph::Graph& g,
-                                                    const walk::WalkConfig& walk_config,
-                                                    const TrainConfig& config);
 
 }  // namespace v2v::embed

@@ -57,8 +57,7 @@ constexpr std::uint32_t kMaxSections = 1024;
 }
 
 /// Serializes the section table prologue + entries into a buffer (the
-/// trailing table checksum is written separately). Shared by the buffering
-/// and streaming writers so their bytes are identical.
+/// trailing table checksum is written separately).
 [[nodiscard]] std::vector<std::uint8_t> encode_section_table(
     const std::vector<SnapshotSection>& entries) {
   std::vector<std::uint8_t> table(8 + entries.size() * kSectionEntryBytes, 0);
@@ -383,96 +382,6 @@ void SnapshotBuilder::write(const std::string& path) const {
   }
   out.flush();
   if (!out) fail(SnapshotErrorCode::kOpenFailed, path, "write failed");
-}
-
-StreamingSnapshotWriter::StreamingSnapshotWriter(
-    const std::string& path, std::vector<std::string> section_names)
-    : path_(path),
-      out_(path, std::ios::binary | std::ios::trunc),
-      names_(std::move(section_names)) {
-  if (!out_) fail(SnapshotErrorCode::kOpenFailed, path_, "cannot open for writing");
-  V2V_CHECK(!names_.empty() && names_.size() <= kMaxSections,
-            "StreamingSnapshotWriter: need 1..kMaxSections sections");
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    V2V_CHECK(!names_[i].empty() && names_[i].size() <= kSectionNameBytes,
-              "section name must be 1..8 bytes");
-    for (std::size_t j = 0; j < i; ++j) {
-      V2V_CHECK(names_[i] != names_[j], "duplicate section name");
-    }
-  }
-  // Reserve the header + table region (rewritten by finish) and pad up to
-  // the first payload's 64-byte-aligned offset.
-  const std::uint64_t entries_end =
-      kSectionTableOffset + 8 + names_.size() * kSectionEntryBytes;
-  section_offset_ = align64(entries_end + 8);
-  const std::vector<char> zeros(static_cast<std::size_t>(section_offset_), 0);
-  out_.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
-  cursor_ = section_offset_;
-}
-
-void StreamingSnapshotWriter::append(const void* data, std::size_t bytes) {
-  V2V_CHECK(!finished_, "StreamingSnapshotWriter: append after finish");
-  out_.write(static_cast<const char*>(data),
-             static_cast<std::streamsize>(bytes));
-  section_checksum_ = fnv1a64_accumulate(section_checksum_, data, bytes);
-  section_bytes_ += bytes;
-  cursor_ += bytes;
-}
-
-void StreamingSnapshotWriter::seal_current() {
-  sealed_.push_back({names_[current_], section_offset_, section_bytes_,
-                     section_checksum_});
-  const std::uint64_t aligned = align64(cursor_);
-  const std::vector<char> pad(static_cast<std::size_t>(aligned - cursor_), 0);
-  out_.write(pad.data(), static_cast<std::streamsize>(pad.size()));
-  cursor_ = aligned;
-  section_offset_ = cursor_;
-  section_bytes_ = 0;
-  section_checksum_ = fnv1a64_seed();
-}
-
-void StreamingSnapshotWriter::next_section() {
-  V2V_CHECK(!finished_, "StreamingSnapshotWriter: next_section after finish");
-  V2V_CHECK(current_ + 1 < names_.size(),
-            "StreamingSnapshotWriter: no more declared sections");
-  seal_current();
-  ++current_;
-}
-
-void StreamingSnapshotWriter::finish(std::uint64_t rows, std::uint64_t dims,
-                                     std::uint32_t version) {
-  V2V_CHECK(!finished_, "StreamingSnapshotWriter: double finish");
-  V2V_CHECK(current_ + 1 == names_.size(),
-            "StreamingSnapshotWriter: not every declared section was written");
-  V2V_CHECK(version >= kSnapshotVersionSections &&
-                version <= kSnapshotVersionTrainerState,
-            "StreamingSnapshotWriter: sections need a v2+ version");
-  seal_current();
-  finished_ = true;
-
-  const std::uint64_t entries_end =
-      kSectionTableOffset + 8 + names_.size() * kSectionEntryBytes;
-  SnapshotHeader h;
-  h.version = version;
-  h.dtype = kDtypeNone;
-  h.rows = rows;
-  h.dims = dims;
-  h.row_stride = 0;
-  h.data_offset = align64(entries_end + 8);
-  h.data_bytes = 0;
-  h.data_checksum = 0;
-
-  std::uint8_t header[kHeaderBytes];
-  encode_snapshot_header(h, header);
-  out_.seekp(0);
-  out_.write(reinterpret_cast<const char*>(header), kHeaderBytes);
-  const std::vector<std::uint8_t> table = encode_section_table(sealed_);
-  out_.write(reinterpret_cast<const char*>(table.data()),
-             static_cast<std::streamsize>(table.size()));
-  const std::uint64_t table_checksum = fnv1a64(table.data(), table.size());
-  out_.write(reinterpret_cast<const char*>(&table_checksum), 8);
-  out_.flush();
-  if (!out_) fail(SnapshotErrorCode::kOpenFailed, path_, "write failed");
 }
 
 MappedSnapshot MappedSnapshot::open(const std::string& path, MapMode mode) {

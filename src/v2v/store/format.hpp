@@ -1,11 +1,9 @@
 // The snapshot *container* format, independent of what the payloads mean:
 // magic + checksummed fixed header, the v2 named-section table, the mmap
-// reader with buffered fallback, and the writers. This layer depends only
-// on common/ so anything in the tree (the walk layer's corpus spool, the
-// quantized indexes, the trainer-state store) can persist checksummed
-// sections without pulling in the embedding types; store/snapshot.hpp
-// layers the embedding-level API (EmbeddingStore / MappedEmbedding) on
-// top.
+// reader with buffered fallback, and the section writer. The quantized
+// indexes and the trainer-state store persist checksummed sections through
+// it without touching the embedding types; store/snapshot.hpp layers the
+// embedding-level API (EmbeddingStore / MappedEmbedding) on top.
 //
 // On-disk layout (all integers little-endian; see docs/ARCHITECTURE.md):
 //
@@ -29,7 +27,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <fstream>
 #include <initializer_list>
 #include <iosfwd>
 #include <span>
@@ -55,9 +52,9 @@ inline constexpr std::uint32_t kSnapshotVersionSections = 2;
 /// still serve the floats.
 inline constexpr std::uint32_t kSnapshotVersionTrainerState = 3;
 inline constexpr std::uint16_t kDtypeFloat32 = 1;
-/// v2 only: the snapshot carries no float matrix (quantized payloads or a
-/// corpus spool segment); rows/dims still describe the logical shape,
-/// row_stride/data_bytes are 0.
+/// v2 only: the snapshot carries no float matrix (quantized payloads
+/// only); rows/dims still describe the logical shape, row_stride/data_bytes
+/// are 0.
 inline constexpr std::uint16_t kDtypeNone = 0;
 inline constexpr std::uint16_t kEndianTag = 0x0102;
 
@@ -67,8 +64,8 @@ inline constexpr std::uint16_t kEndianTag = 0x0102;
 
 /// Incremental FNV-1a 64: seed with fnv1a64_seed(), fold ranges in order
 /// with fnv1a64_accumulate(). Equal to fnv1a64 over the concatenation —
-/// this is how the streaming writers checksum payloads they never hold in
-/// memory at once.
+/// this is how EmbeddingStore checksums rows it never holds in memory at
+/// once.
 [[nodiscard]] constexpr std::uint64_t fnv1a64_seed() noexcept {
   return 0xcbf29ce484222325ULL;
 }
@@ -182,7 +179,7 @@ enum class MapMode : std::uint8_t { kAuto, kBuffered };
 ///                  data_offset/data_bytes/data_checksum mirror its entry,
 ///                  so MappedEmbedding reads v2-with-floats unchanged.
 struct SnapshotSection {
-  std::string name;  ///< up to 8 bytes, e.g. "fmat", "pqbk", "ctok"
+  std::string name;  ///< up to 8 bytes, e.g. "fmat", "pqbk", "tsyn1"
   std::uint64_t offset = 0;
   std::uint64_t bytes = 0;
   std::uint64_t checksum = 0;
@@ -190,8 +187,7 @@ struct SnapshotSection {
 
 /// Writes a v2 snapshot: optional float matrix plus arbitrary named
 /// sections, every payload checksummed and 64-byte aligned. Payloads are
-/// buffered in memory until `write` — use StreamingSnapshotWriter when the
-/// payloads must not be resident all at once.
+/// buffered in memory until `write`.
 class SnapshotBuilder {
  public:
   /// Logical corpus shape (rows x dims), independent of which payloads
@@ -222,58 +218,6 @@ class SnapshotBuilder {
   std::uint64_t row_stride_ = 0;  ///< nonzero iff a float matrix is attached
   std::uint32_t min_version_ = kSnapshotVersionSections;
   std::vector<std::pair<std::string, std::vector<std::uint8_t>>> sections_;
-};
-
-/// Streams a v2 sections-only snapshot (dtype none) to disk without ever
-/// buffering a payload in memory — the writer behind the corpus spool,
-/// where a segment can exceed RAM. Section names are declared up front
-/// (the table layout needs the count); bytes are appended to the current
-/// section and checksummed incrementally; next_section() seals one and
-/// starts the next, in declared order. finish() seeks back and writes the
-/// real header + table — the file is not a valid snapshot until then.
-/// The emitted bytes are exactly what SnapshotBuilder would produce for
-/// the same payloads, so MappedSnapshot reads both identically.
-class StreamingSnapshotWriter {
- public:
-  StreamingSnapshotWriter(const std::string& path,
-                          std::vector<std::string> section_names);
-  StreamingSnapshotWriter(const StreamingSnapshotWriter&) = delete;
-  StreamingSnapshotWriter& operator=(const StreamingSnapshotWriter&) = delete;
-  /// Closing without finish() leaves an invalid file on disk (deliberate:
-  /// a crashed producer must not look like a complete spool segment).
-  ~StreamingSnapshotWriter() = default;
-
-  /// Appends bytes to the current section.
-  void append(const void* data, std::size_t bytes);
-  void append(std::span<const std::uint8_t> bytes) {
-    append(bytes.data(), bytes.size());
-  }
-
-  /// Seals the current section and starts the next declared one.
-  void next_section();
-
-  /// Seals the last section and writes the fixed header (rows/dims are
-  /// the logical shape stamped into it) plus the checksummed section
-  /// table. Must be called with every declared section written.
-  void finish(std::uint64_t rows, std::uint64_t dims,
-              std::uint32_t version = kSnapshotVersionSections);
-
-  /// Total file bytes emitted so far (header/table region included).
-  [[nodiscard]] std::uint64_t bytes_written() const noexcept { return cursor_; }
-
- private:
-  void seal_current();
-
-  std::string path_;
-  std::ofstream out_;
-  std::vector<std::string> names_;
-  std::vector<SnapshotSection> sealed_;
-  std::size_t current_ = 0;
-  std::uint64_t cursor_ = 0;          ///< absolute end-of-file offset
-  std::uint64_t section_offset_ = 0;  ///< current section's start offset
-  std::uint64_t section_bytes_ = 0;
-  std::uint64_t section_checksum_ = fnv1a64_seed();
-  bool finished_ = false;
 };
 
 /// A v2 (or v1) snapshot opened for serving with all sections validated.

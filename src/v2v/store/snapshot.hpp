@@ -3,9 +3,8 @@
 // the text format per run does not scale).
 //
 // The container format itself — fixed header, checksummed section table,
-// mmap reader, streaming writer — lives in store/format.hpp (it depends
-// only on common/, so the walk layer's corpus spool reuses it). This
-// header adds the embedding-level API on top:
+// mmap reader, section writer — lives in store/format.hpp. This header
+// adds the embedding-level API on top:
 //
 //   - EmbeddingStore: save/load an embed::Embedding as a v1 snapshot
 //   - MappedEmbedding: zero-copy mmap'd rows for serving

@@ -1,7 +1,7 @@
 // A corpus of vertex sequences ("sentences") produced by random walks,
 // held in RAM. Stored flat (tokens + offsets) so the CBOW trainer streams
 // it with zero pointer chasing, and read through the CorpusReader
-// interface like the disk spool. generate_corpus and the other RAM
+// interface like the streamed corpus. generate_corpus and the other RAM
 // producers fill it through CorpusDriver::collect (walker.hpp):
 // one shard per chunk of start vertices, merged in chunk order.
 #pragma once
@@ -43,9 +43,13 @@ class Corpus final : public CorpusReader {
     return tokens_.size();
   }
 
-  [[nodiscard]] std::span<const graph::VertexId> walk(
-      std::size_t i) const noexcept override {
+  [[nodiscard]] std::span<const graph::VertexId> walk(std::size_t i) const noexcept {
     return {tokens_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
+  }
+
+  void for_each_walk(std::size_t begin, std::size_t end,
+                     const WalkSink& sink) const override {
+    for (std::size_t i = begin; i < end; ++i) sink(walk(i));
   }
 
   [[nodiscard]] std::span<const graph::VertexId> tokens() const noexcept { return tokens_; }

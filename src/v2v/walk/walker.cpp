@@ -189,20 +189,24 @@ void CorpusDriver::run(const ChunkFn& on_chunk) const {
   if (config_.metrics == nullptr) return;
   std::size_t tokens = 0;
   for (const std::size_t t : worker_tokens) tokens += t;
-  const std::size_t walks = vertices_ * config_.walks_per_vertex;
-  record_corpus_metrics(*config_.metrics, walks, tokens, worker_tokens, timer_.seconds(),
-                        walks * config_.walk_length, grain_, chunks_);
+  record_corpus_metrics(*config_.metrics, walk_count(), tokens, worker_tokens,
+                        timer_.seconds(), walk_count() * config_.walk_length, grain_,
+                        chunks_);
 }
 
-void CorpusDriver::walk_chunk(const WalkFn& walk_from, const WalkChunk& chunk,
-                              const WalkSink& sink, std::uint64_t stream_base) const {
+void CorpusDriver::walk_range(const WalkFn& walk_from, std::size_t begin,
+                              std::size_t end, const WalkSink& sink) const {
+  const std::size_t per_vertex = config_.walks_per_vertex;
   std::vector<graph::VertexId> buffer;
   buffer.reserve(config_.walk_length);
-  for (std::size_t v = chunk.begin; v < chunk.end; ++v) {
+  for (std::size_t i = begin; i < end;) {
+    const std::size_t v = i / per_vertex;
     const auto start = static_cast<graph::VertexId>(v);
-    // Per-vertex stream: deterministic regardless of scheduling.
-    Rng rng = root_.fork(stream_base + v);
-    for (std::size_t w = 0; w < config_.walks_per_vertex; ++w) {
+    // Per-vertex stream: deterministic regardless of scheduling. It has no
+    // skip-ahead, so the walks before i are drawn again and discarded.
+    Rng rng = root_.fork(v);
+    for (std::size_t w = v * per_vertex; w < i; ++w) walk_from(start, rng, buffer);
+    for (const std::size_t last = std::min(end, (v + 1) * per_vertex); i < last; ++i) {
       walk_from(start, rng, buffer);
       sink(buffer);
     }

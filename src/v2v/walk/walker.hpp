@@ -17,7 +17,6 @@
 #include <functional>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "v2v/common/rng.hpp"
@@ -52,23 +51,19 @@ struct WalkConfig {
   /// Worker threads for corpus generation (count; default 1 = serial).
   std::size_t threads = 1;
   /// Start vertices per work-queue chunk for dynamic scheduling; 0 (the
-  /// default) picks default_grain(vertex_count, threads). Chunk boundaries
-  /// — and therefore the corpus ordering — depend only on this value, not
-  /// on the thread count.
+  /// default) picks default_grain(vertex_count, threads). The corpus
+  /// depends on neither this nor the thread count (see CorpusDriver).
   std::size_t grain = 0;
-  /// Optional observability sink: generate_corpus and
-  /// generate_corpus_spooled record walk/step throughput counters,
-  /// per-shard balance, and a "walk" stage span into it. Null (default)
-  /// disables instrumentation.
+  /// Optional observability sink: generate_corpus and StreamedCorpus's
+  /// counting pass record walk/step throughput counters, per-shard
+  /// balance, and a "walk" stage span into it. Null (default) disables
+  /// instrumentation.
   obs::MetricsRegistry* metrics = nullptr;
-  /// When non-empty, corpus generation spools to disk segments under this
-  /// directory instead of materializing the corpus in RAM (see
-  /// corpus_spool.hpp); empty (the default) keeps the in-memory path.
-  std::string spool_dir;
-  /// Per-shard token flush buffer for spooled generation, in MiB (peak
-  /// generation RSS is O(workers * this), independent of corpus size).
-  /// 0 falls back to the 64 MiB default.
-  std::size_t spool_buffer_mb = 64;
+  /// When true, walk::with_corpus trains from a StreamedCorpus, which
+  /// redraws the walks on demand instead of holding them in RAM (see
+  /// corpus_stream.hpp); the walks and every 1-thread training bit are
+  /// the RAM corpus's. False (the default) materializes the corpus.
+  bool streaming = false;
 };
 
 /// Runs walks from all start vertices and returns the merged corpus (the
@@ -111,23 +106,24 @@ class Walker {
 /// One chunk of start vertices [begin, end), as a worker receives it.
 struct WalkChunk {
   std::size_t worker;  ///< < CorpusDriver::workers()
-  std::size_t index;   ///< chunk index: the RAM shard or spool segment
+  std::size_t index;   ///< chunk index: the RAM shard
   std::size_t begin;
   std::size_t end;
 };
 
 /// The one place the corpus layout lives. Every corpus producer runs on a
-/// CorpusDriver — generate_corpus, generate_corpus_node2vec,
-/// generate_corpus_spooled and embed::train_embedding_streaming — which
-/// fixes what makes a corpus a
-/// pure function of (graph, walk parameters, seed, grain), whatever the
-/// thread count or schedule:
-///   - the start-vertex split: chunk c covers start vertices
-///     [c*grain, min((c+1)*grain, n)), grain 0 meaning
-///     default_grain(n, threads), run on parallel_for_dynamic;
+/// CorpusDriver — generate_corpus, generate_corpus_node2vec and
+/// StreamedCorpus — which fixes what makes a corpus a pure function of
+/// (graph, walk parameters, seed), whatever the thread count, grain or
+/// schedule:
 ///   - the RNG: start vertex v draws its walks_per_vertex walks, in order,
-///     from the one stream root.fork(stream_base + v);
-///   - the RAM order: one shard per chunk, merged in chunk order.
+///     from the one stream root.fork(v);
+///   - the order: walk i is start vertex i / walks_per_vertex's walk
+///     number i % walks_per_vertex;
+///   - the start-vertex split the producers run on: chunk c covers start
+///     vertices [c*grain, min((c+1)*grain, n)), grain 0 meaning
+///     default_grain(n, threads), run on parallel_for_dynamic; the RAM
+///     corpus keeps one shard per chunk, merged in chunk order.
 /// A producer keeps only what it does with a walk.
 class CorpusDriver {
  public:
@@ -135,8 +131,6 @@ class CorpusDriver {
   /// std::bind_front(&Walker::walk_from, &walker).
   using WalkFn =
       std::function<void(graph::VertexId, Rng&, std::vector<graph::VertexId>&)>;
-  /// Takes one walk; the span is valid only during the call.
-  using WalkSink = std::function<void(std::span<const graph::VertexId>)>;
   /// Handles one chunk and returns the tokens it produced.
   using ChunkFn = std::function<std::size_t(const WalkChunk&)>;
 
@@ -148,6 +142,10 @@ class CorpusDriver {
 
   [[nodiscard]] std::size_t grain() const noexcept { return grain_; }
   [[nodiscard]] std::size_t chunks() const noexcept { return chunks_; }
+  /// Walks in the corpus: vertices * walks_per_vertex.
+  [[nodiscard]] std::size_t walk_count() const noexcept {
+    return vertices_ * config_.walks_per_vertex;
+  }
   /// Workers the chunks run on; every WalkChunk::worker is below this.
   [[nodiscard]] std::size_t workers() const noexcept;
 
@@ -155,11 +153,20 @@ class CorpusDriver {
   /// the walk telemetry from the token counts it returned.
   void run(const ChunkFn& on_chunk) const;
 
-  /// Draws the walks of `chunk` in order, start vertex by start vertex,
-  /// vertex v's from the stream root.fork(stream_base + v), and hands each
-  /// to `sink`.
+  /// Draws walks [begin, end) (end <= walk_count()) in order and hands
+  /// each to `sink`. A range that starts partway through a start vertex's
+  /// walks re-forks that vertex's stream and draws and discards the walks
+  /// before `begin`, so every walk is the one the whole-vertex pass draws.
+  /// Const and safe to call concurrently.
+  void walk_range(const WalkFn& walk_from, std::size_t begin, std::size_t end,
+                  const WalkSink& sink) const;
+
+  /// walk_range over the whole start vertices of `chunk`.
   void walk_chunk(const WalkFn& walk_from, const WalkChunk& chunk,
-                  const WalkSink& sink, std::uint64_t stream_base = 0) const;
+                  const WalkSink& sink) const {
+    walk_range(walk_from, chunk.begin * config_.walks_per_vertex,
+               chunk.end * config_.walks_per_vertex, sink);
+  }
 
   /// The RAM corpus: every chunk's walks go to that chunk's shard, and the
   /// shards are merged in chunk order.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace v2v {
 namespace {
@@ -10,7 +12,6 @@ namespace {
 TEST(ConfigIo, RoundTripNonDefaultValues) {
   V2VConfig config;
   config.seed = 777;
-  config.streaming = true;
   config.walk.walks_per_vertex = 42;
   config.walk.walk_length = 99;
   config.walk.bias = walk::StepBias::kEdgeWeight;
@@ -18,8 +19,7 @@ TEST(ConfigIo, RoundTripNonDefaultValues) {
   config.walk.time_window = 2.5;
   config.walk.threads = 3;
   config.walk.grain = 25;
-  config.walk.spool_dir = "/tmp/v2v-spool";
-  config.walk.spool_buffer_mb = 7;
+  config.walk.streaming = true;
   config.train.dimensions = 123;
   config.train.window = 7;
   config.train.architecture = embed::Architecture::kSkipGram;
@@ -45,7 +45,6 @@ TEST(ConfigIo, RoundTripNonDefaultValues) {
   const V2VConfig loaded = load_config(buffer);
 
   EXPECT_EQ(loaded.seed, 777u);
-  EXPECT_TRUE(loaded.streaming);
   EXPECT_EQ(loaded.walk.walks_per_vertex, 42u);
   EXPECT_EQ(loaded.walk.walk_length, 99u);
   EXPECT_EQ(loaded.walk.bias, walk::StepBias::kEdgeWeight);
@@ -53,8 +52,7 @@ TEST(ConfigIo, RoundTripNonDefaultValues) {
   EXPECT_DOUBLE_EQ(loaded.walk.time_window, 2.5);
   EXPECT_EQ(loaded.walk.threads, 3u);
   EXPECT_EQ(loaded.walk.grain, 25u);
-  EXPECT_EQ(loaded.walk.spool_dir, "/tmp/v2v-spool");
-  EXPECT_EQ(loaded.walk.spool_buffer_mb, 7u);
+  EXPECT_TRUE(loaded.walk.streaming);
   EXPECT_EQ(loaded.train.dimensions, 123u);
   EXPECT_EQ(loaded.train.window, 7u);
   EXPECT_EQ(loaded.train.architecture, embed::Architecture::kSkipGram);
@@ -76,15 +74,22 @@ TEST(ConfigIo, RoundTripNonDefaultValues) {
   EXPECT_DOUBLE_EQ(loaded.refresh.compact_ratio, 0.125);
 }
 
-TEST(ConfigIo, EmptySpoolDirRoundTripsAsDisabled) {
-  // The default (in-RAM) config writes an empty walk.spool_dir value;
-  // loading it back must stay on the in-RAM path.
-  const V2VConfig defaults;
-  std::stringstream buffer;
-  save_config(defaults, buffer);
-  const V2VConfig loaded = load_config(buffer);
-  EXPECT_TRUE(loaded.walk.spool_dir.empty());
-  EXPECT_EQ(loaded.walk.spool_buffer_mb, defaults.walk.spool_buffer_mb);
+TEST(ConfigIo, TopLevelStreamingKeyIsRejected) {
+  // The default config round-trips on the in-RAM path.
+  std::stringstream defaults;
+  save_config(V2VConfig{}, defaults);
+  EXPECT_FALSE(load_config(defaults).walk.streaming);
+  // Files saved before walk.streaming carried a top-level `streaming`
+  // key; it is now an unknown key, reported with its line.
+  std::stringstream old("seed = 3\nstreaming = 1\n");
+  try {
+    (void)load_config(old);
+    ADD_FAILURE() << "top-level streaming key was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("config line 2: unknown key 'streaming'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ConfigIo, KMeansAssignModeParses) {

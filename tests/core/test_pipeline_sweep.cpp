@@ -70,7 +70,7 @@ TEST_P(FullPipelineSweep, SeparatesCommunities) {
   if (param.architecture == embed::Architecture::kSkipGram) {
     config.train.initial_lr = 0.025;
   }
-  config.streaming = param.streaming;
+  config.walk.streaming = param.streaming;
   config.seed = param.seed;
 
   const auto model = learn_embedding(planted.graph, config);

@@ -134,13 +134,13 @@ TEST(DynamicGraph, DirtySetTracksMutationEndpoints) {
   g.add_edge(1, 2);
   g.add_edge(3, 4);
   EXPECT_EQ(g.dirty_count(), 4u);
-  EXPECT_EQ(g.dirty_vertices(), (std::vector<VertexId>{1, 2, 3, 4}));
-  const auto drained = g.drain_dirty();
-  EXPECT_EQ(drained, (std::vector<VertexId>{1, 2, 3, 4}));
+  EXPECT_EQ(g.drain_dirty(), 4u);
   EXPECT_EQ(g.dirty_count(), 0u);
 
+  // A vertex counts once however many mutations touch it.
   EXPECT_TRUE(g.remove_edge(1, 2));
-  EXPECT_EQ(g.dirty_vertices(), (std::vector<VertexId>{1, 2}));
+  g.add_edge(2, 1);
+  EXPECT_EQ(g.dirty_count(), 2u);
   // A remove that matches nothing dirties nothing.
   (void)g.drain_dirty();
   EXPECT_FALSE(g.remove_edge(7, 8));

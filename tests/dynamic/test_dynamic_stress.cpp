@@ -110,7 +110,7 @@ TEST(DynamicStress, ConcurrentBatchApplyAndDrain) {
   std::thread drainer([&g, &stop] {
     std::size_t seen = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      seen += g.drain_dirty().size();
+      seen += g.drain_dirty();
     }
     EXPECT_GE(seen, 0u);
   });

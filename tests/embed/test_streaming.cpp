@@ -1,11 +1,12 @@
-// Tests for the streaming trainer: walks generated on the fly must learn
-// the same structure as the materialized-corpus path without ever holding
-// the corpus in memory.
+// Tests for training from a StreamedCorpus: walks redrawn on demand must
+// train the materialized corpus's embedding bit for bit at one thread,
+// without ever holding the corpus in memory.
 #include <gtest/gtest.h>
 
 #include "v2v/core/v2v.hpp"
 #include "v2v/embed/trainer.hpp"
 #include "v2v/graph/generators.hpp"
+#include "v2v/walk/corpus_stream.hpp"
 
 namespace v2v::embed {
 namespace {
@@ -54,31 +55,35 @@ walk::WalkConfig fast_walks() {
   return config;
 }
 
+/// Trains from the streamed corpus of (g, fast_walks(), walk seed 5).
+TrainResult train_streamed(const graph::Graph& g, const TrainConfig& config) {
+  const walk::StreamedCorpus corpus(g, fast_walks(), 5);
+  return train_embedding(corpus, g.vertex_count(), config);
+}
+
 TEST(StreamingTrainer, LearnsCommunityStructure) {
   const auto p = planted(0.6);
-  const auto result = train_embedding_streaming(p.graph, fast_walks(), fast_config());
+  const auto result = train_streamed(p.graph, fast_config());
   EXPECT_GT(community_margin(result.embedding, p.community), 0.3);
   EXPECT_EQ(result.embedding.vertex_count(), p.graph.vertex_count());
   EXPECT_GT(result.stats.examples, 0u);
 }
 
 TEST(StreamingTrainer, QualityComparableToMaterialized) {
+  // Comparable means identical: the stream replays the RAM corpus.
   const auto p = planted(0.6);
-  const auto streaming =
-      train_embedding_streaming(p.graph, fast_walks(), fast_config());
+  const auto streaming = train_streamed(p.graph, fast_config());
   const auto corpus = walk::generate_corpus(p.graph, fast_walks(), 5);
   const auto materialized =
       train_embedding(corpus, p.graph.vertex_count(), fast_config());
-  const double margin_streaming = community_margin(streaming.embedding, p.community);
-  const double margin_materialized =
-      community_margin(materialized.embedding, p.community);
-  EXPECT_GT(margin_streaming, 0.7 * margin_materialized);
+  EXPECT_EQ(streaming.stats.epoch_loss, materialized.stats.epoch_loss);
+  EXPECT_TRUE(streaming.embedding.matrix() == materialized.embedding.matrix());
 }
 
 TEST(StreamingTrainer, DeterministicSingleThread) {
   const auto p = planted(0.5);
-  const auto a = train_embedding_streaming(p.graph, fast_walks(), fast_config());
-  const auto b = train_embedding_streaming(p.graph, fast_walks(), fast_config());
+  const auto a = train_streamed(p.graph, fast_config());
+  const auto b = train_streamed(p.graph, fast_config());
   EXPECT_TRUE(a.embedding.matrix() == b.embedding.matrix());
 }
 
@@ -86,7 +91,7 @@ TEST(StreamingTrainer, HierarchicalSoftmaxWorks) {
   const auto p = planted(0.6);
   TrainConfig config = fast_config();
   config.objective = Objective::kHierarchicalSoftmax;
-  const auto result = train_embedding_streaming(p.graph, fast_walks(), config);
+  const auto result = train_streamed(p.graph, config);
   EXPECT_GT(community_margin(result.embedding, p.community), 0.25);
 }
 
@@ -94,13 +99,12 @@ TEST(StreamingTrainer, MultithreadedStillLearns) {
   const auto p = planted(0.6);
   TrainConfig config = fast_config();
   config.threads = 4;
-  const auto result = train_embedding_streaming(p.graph, fast_walks(), config);
+  const auto result = train_streamed(p.graph, config);
   EXPECT_GT(community_margin(result.embedding, p.community), 0.3);
 }
 
 TEST(StreamingTrainer, EmptyGraphThrows) {
-  EXPECT_THROW((void)train_embedding_streaming(graph::Graph{}, fast_walks(),
-                                               fast_config()),
+  EXPECT_THROW((void)train_streamed(graph::Graph{}, fast_config()),
                std::invalid_argument);
 }
 
@@ -109,10 +113,14 @@ TEST(StreamingTrainer, PipelineStreamingFlag) {
   V2VConfig config;
   config.walk = fast_walks();
   config.train = fast_config();
-  config.streaming = true;
+  const auto ram = learn_embedding(p.graph, config);
+  config.walk.streaming = true;
   const auto model = learn_embedding(p.graph, config);
-  EXPECT_EQ(model.corpus_tokens, 0u);  // never materialized
-  EXPECT_GT(community_margin(model.embedding, p.community), 0.3);
+  EXPECT_EQ(model.corpus_walks, ram.corpus_walks);
+  EXPECT_EQ(model.corpus_tokens, ram.corpus_tokens);
+  EXPECT_GT(model.corpus_tokens, 0u);
+  EXPECT_EQ(model.train_stats.epoch_loss, ram.train_stats.epoch_loss);
+  EXPECT_TRUE(model.embedding.matrix() == ram.embedding.matrix());
 
   // Community detection works identically downstream.
   ml::KMeansConfig kmeans;
@@ -120,15 +128,6 @@ TEST(StreamingTrainer, PipelineStreamingFlag) {
   const auto detected = detect_communities(model.embedding, 4, kmeans);
   const auto pr = ml::pairwise_precision_recall(p.community, detected.labels);
   EXPECT_GT(pr.f1(), 0.9);
-}
-
-TEST(StreamingTrainer, FreshWalksEachEpochStillConverge) {
-  const auto p = planted(0.8);
-  TrainConfig config = fast_config();
-  config.epochs = 6;
-  const auto result = train_embedding_streaming(p.graph, fast_walks(), config);
-  ASSERT_GE(result.stats.epoch_loss.size(), 2u);
-  EXPECT_LT(result.stats.epoch_loss.back(), result.stats.epoch_loss.front());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "v2v/graph/generators.hpp"
+#include "v2v/walk/corpus_stream.hpp"
 #include "v2v/walk/walker.hpp"
 
 namespace v2v::embed {
@@ -230,7 +231,7 @@ TEST(Trainer, InvalidConfigThrows) {
 }
 
 TEST(Trainer, InvalidConfigThrowsOnResumeAndStreaming) {
-  // Resume and streaming share the cold path's validation.
+  // Resume and the streamed corpus share the cold path's validation.
   walk::Corpus corpus;
   corpus.add_walk(std::vector<graph::VertexId>{0, 1, 0, 1});
   TrainConfig config = fast_config();
@@ -247,7 +248,9 @@ TEST(Trainer, InvalidConfigThrowsOnResumeAndStreaming) {
   walks.walk_length = 5;
   config = fast_config();
   config.min_lr_fraction = 2.0;
-  EXPECT_THROW((void)train_embedding_streaming(g, walks, config), std::invalid_argument);
+  const walk::StreamedCorpus stream(g, walks, 1);
+  EXPECT_THROW((void)train_embedding(stream, g.vertex_count(), config),
+               std::invalid_argument);
 }
 
 TEST(Trainer, TokenOutOfVocabThrows) {

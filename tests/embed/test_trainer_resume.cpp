@@ -10,6 +10,7 @@
 #include "v2v/common/rng.hpp"
 #include "v2v/embed/trainer.hpp"
 #include "v2v/graph/generators.hpp"
+#include "v2v/walk/corpus_stream.hpp"
 #include "v2v/walk/walker.hpp"
 
 namespace v2v::embed {
@@ -174,9 +175,12 @@ TEST(TrainerResume, StreamingCaptureCarriesFrequencies) {
   walk_config.walk_length = 8;
   auto config = small_config();
   config.capture_checkpoint = true;
-  const auto result = train_embedding_streaming(g, walk_config, config);
+  const walk::StreamedCorpus stream(g, walk_config, 3);
+  const auto result = train_embedding(stream, g.vertex_count(), config);
   ASSERT_TRUE(result.checkpoint.has_value());
-  EXPECT_EQ(result.checkpoint->frequencies.size(), 20u);
+  EXPECT_EQ(result.checkpoint->frequencies, stream.vertex_frequencies(20));
+  EXPECT_EQ(result.checkpoint->frequencies,
+            walk::generate_corpus(g, walk_config, 3).vertex_frequencies(20));
   EXPECT_EQ(result.checkpoint->syn1.rows(), 20u);
 }
 

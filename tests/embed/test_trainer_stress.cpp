@@ -1,6 +1,7 @@
 // Concurrency stress for the Hogwild trainer: many workers updating the
 // shared syn0/syn1 matrices lock-free, over both objectives and both
-// architectures, plus the streaming driver. Runs under ThreadSanitizer in
+// architectures, plus Hogwild workers redrawing walks from one streamed
+// corpus. Runs under ThreadSanitizer in
 // CI — the trainer's shared float accesses are relaxed atomics in TSan
 // builds (common/relaxed.hpp), so any report here is a real bug.
 #include "v2v/embed/trainer.hpp"
@@ -15,6 +16,7 @@
 
 #include "v2v/common/thread_pool.hpp"
 #include "v2v/graph/generators.hpp"
+#include "v2v/walk/corpus_stream.hpp"
 #include "v2v/walk/walker.hpp"
 
 namespace v2v::embed {
@@ -90,7 +92,8 @@ TEST(TrainerStress, StreamingTrainerManyThreads) {
   config.window = 3;
   config.epochs = 2;
   config.threads = 8;
-  const auto result = train_embedding_streaming(g, walk_config, config);
+  const walk::StreamedCorpus stream(g, walk_config, 3);
+  const auto result = train_embedding(stream, g.vertex_count(), config);
   EXPECT_EQ(result.embedding.vertex_count(), g.vertex_count());
   EXPECT_GT(result.stats.examples, 0u);
   expect_finite(result.embedding);
@@ -187,12 +190,13 @@ TEST(TrainerStress, ThreeWorkersUnevenHomeRangesStreaming) {
   walk::WalkConfig walks;
   walks.walks_per_vertex = 5;
   walks.walk_length = 20;
+  walks.threads = 3;
+  const walk::StreamedCorpus stream(planted.graph, walks, 43);
   const TrainConfig config = three_thread_config();
-  const std::size_t vertices = planted.graph.vertex_count();
-  ASSERT_NE(chunk_count(vertices, default_grain(vertices, config.threads)) % config.threads,
-            0u)
-      << "home ranges must be uneven";
-  const auto result = train_embedding_streaming(planted.graph, walks, config);
+  const std::size_t chunks =
+      chunk_count(stream.walk_count(), default_grain(stream.walk_count(), config.threads));
+  ASSERT_NE(chunks % config.threads, 0u) << "home ranges must be uneven";
+  const auto result = train_embedding(stream, planted.graph.vertex_count(), config);
   expect_trained(result, planted);
 }
 

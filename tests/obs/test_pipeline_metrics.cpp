@@ -88,7 +88,7 @@ TEST(ObsPipeline, StreamingModeRecordsTrainTelemetry) {
   const auto planted = small_graph();
   obs::MetricsRegistry metrics;
   V2VConfig config;
-  config.streaming = true;
+  config.walk.streaming = true;
   config.walk.walks_per_vertex = 2;
   config.walk.walk_length = 15;
   config.train.dimensions = 8;
@@ -102,8 +102,10 @@ TEST(ObsPipeline, StreamingModeRecordsTrainTelemetry) {
   EXPECT_EQ(snap.counters.at("train.epochs"), 2u);
   EXPECT_GT(snap.counters.at("train.examples"), 0u);
   ASSERT_NE(find_stage(snap.stages, "train"), nullptr);
-  // Streaming never materializes a corpus, so no walk stage appears.
-  EXPECT_EQ(find_stage(snap.stages, "walk"), nullptr);
+  // The counting pass records the walk stage and telemetry of a RAM run.
+  ASSERT_NE(find_stage(snap.stages, "walk"), nullptr);
+  EXPECT_EQ(snap.counters.at("walk.walks"), model.corpus_walks);
+  EXPECT_EQ(snap.counters.at("walk.tokens"), model.corpus_tokens);
 }
 
 TEST(ObsPipeline, NullRegistryLeavesResultsIdentical) {

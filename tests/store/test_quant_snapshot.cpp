@@ -17,6 +17,7 @@
 #endif
 
 #include "v2v/common/rng.hpp"
+#include "v2v/store/format.hpp"
 #include "v2v/store/snapshot.hpp"
 
 namespace v2v::store {

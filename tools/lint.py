@@ -46,11 +46,10 @@ Enforced on src/ (and partially on tests/ and bench/, see each rule):
   R12 no whole-corpus materialization in src/v2v/embed/: declaring a
       by-value walk::Corpus or calling generate_corpus() inside the
       trainer pulls the full token stream into RAM and silently defeats
-      the out-of-core spool. The trainer consumes walks through the
-      walk::CorpusReader interface (the RAM walk::Corpus, itself a
-      CorpusReader, or SpooledCorpus) and the streaming path through
-      walk::CorpusDriver; `const Corpus&` parameters stay legal (they
-      borrow, they do not materialize)
+      the out-of-core streamed corpus. The trainer consumes walks through
+      the walk::CorpusReader interface (the RAM walk::Corpus, itself a
+      CorpusReader, or walk::StreamedCorpus); `const Corpus&` parameters
+      stay legal (they borrow, they do not materialize)
 
 Usage: tools/lint.py [--root REPO_ROOT]
 Exit code 0 = clean, 1 = findings (printed one per line as
@@ -164,8 +163,8 @@ GRAPH_BUILDER_ALLOWLIST: set[str] = set()
 # R12: a by-value Corpus declaration (`Corpus tmp` / `walk::Corpus out` —
 # no & or *, so `const Corpus&` parameters stay legal) or a
 # generate_corpus() call inside the embed layer materializes the whole
-# token stream in RAM. generate_corpus_spooled does not match (the \(
-# anchor sits right after the name), and neither do SpooledCorpus (\b
+# token stream in RAM. generate_corpus_node2vec does not match (the \(
+# anchor sits right after the name), and neither do StreamedCorpus (\b
 # fails mid-identifier) nor CorpusReader/CorpusDriver (no whitespace
 # right after "Corpus").
 CORPUS_MATERIALIZE_RE = re.compile(
@@ -398,8 +397,8 @@ class Linter:
                 self.report(path, line_no, "R12",
                             "whole-corpus materialization in src/v2v/embed/ "
                             "(by-value Corpus or generate_corpus call) defeats "
-                            "the out-of-core spool; consume walks through "
-                            "walk::CorpusReader (or allowlist in "
+                            "the out-of-core streamed corpus; consume walks "
+                            "through walk::CorpusReader (or allowlist in "
                             "tools/lint.py)")
 
     def lint_include_hygiene(self, path: pathlib.Path) -> None:
