@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "micro_bench_main.hpp"
 #include "v2v/common/aligned.hpp"
 #include "v2v/common/kernels.hpp"
 #include "v2v/common/rng.hpp"
@@ -261,10 +262,5 @@ void write_speedup_baseline() {
 
 int main(int argc, char** argv) {
   register_suite();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  write_speedup_baseline();
-  return 0;
+  return v2v::bench::micro_bench_main(argc, argv, write_speedup_baseline);
 }

@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <string>
 
+#include "micro_bench_main.hpp"
 #include "v2v/common/kernels.hpp"
 #include "v2v/common/rng.hpp"
 #include "v2v/common/timer.hpp"
@@ -192,12 +193,6 @@ void write_kmeans_baseline() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!baseline_only()) {
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-  }
-  write_kmeans_baseline();
-  return 0;
+  return v2v::bench::micro_bench_main(argc, argv, write_kmeans_baseline,
+                                      baseline_only());
 }

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "micro_bench_main.hpp"
 #include "v2v/common/kernels.hpp"
 #include "v2v/common/rng.hpp"
 #include "v2v/common/timer.hpp"
@@ -332,12 +333,6 @@ void write_query_baseline() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!baseline_only()) {
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-  }
-  write_query_baseline();
-  return 0;
+  return v2v::bench::micro_bench_main(argc, argv, write_query_baseline,
+                                      baseline_only());
 }

@@ -21,6 +21,7 @@
 #include <string>
 #include <thread>
 
+#include "micro_bench_main.hpp"
 #include "v2v/common/kernels.hpp"
 #include "v2v/embed/trainer.hpp"
 #include "v2v/graph/generators.hpp"
@@ -244,10 +245,5 @@ void write_throughput_baseline() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  write_throughput_baseline();
-  return 0;
+  return v2v::bench::micro_bench_main(argc, argv, write_throughput_baseline);
 }

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <string>
 
+#include "micro_bench_main.hpp"
 #include "v2v/common/kernels.hpp"
 #include "v2v/common/rng.hpp"
 #include "v2v/graph/generators.hpp"
@@ -195,10 +196,5 @@ void write_throughput_baseline() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  write_throughput_baseline();
-  return 0;
+  return v2v::bench::micro_bench_main(argc, argv, write_throughput_baseline);
 }

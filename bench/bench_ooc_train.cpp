@@ -13,7 +13,10 @@
 // Env V2V_OOC_STREAM_ONLY=1 skips the RAM track entirely. The release
 // lane uses it under `ulimit -d` with a heap cap smaller than the corpus
 // bytes: the run can only succeed if training never materializes the
-// corpus (a heap allocation of corpus size would abort).
+// corpus (a heap allocation of corpus size would abort). With no RAM run
+// to compare against, the sidecar then carries no loss_parity,
+// throughput_ratio or ram_words_per_sec gauge, and the exit status only
+// requires finite streamed losses.
 //
 // Knobs: --vertices --walks --walk-length --dims --epochs --window
 // --seed. Env V2V_BENCH_OUT overrides the baseline output directory
@@ -168,11 +171,14 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry baseline;
   baseline.gauge("ooc_bench.corpus_tokens")
       .set(static_cast<double>(stream.token_count()));
-  baseline.gauge("ooc_bench.ram_words_per_sec").set(ram_track.words_per_sec);
   baseline.gauge("ooc_bench.stream_words_per_sec")
       .set(stream_track.words_per_sec);
-  baseline.gauge("ooc_bench.throughput_ratio").set(ratio);
-  baseline.gauge("ooc_bench.loss_parity").set(loss_parity ? 1.0 : 0.0);
+  if (!stream_only) {
+    // Comparisons with the RAM track; a stream-only run has none to make.
+    baseline.gauge("ooc_bench.ram_words_per_sec").set(ram_track.words_per_sec);
+    baseline.gauge("ooc_bench.throughput_ratio").set(ratio);
+    baseline.gauge("ooc_bench.loss_parity").set(loss_parity ? 1.0 : 0.0);
+  }
   baseline.gauge("ooc_bench.stream_only").set(stream_only ? 1.0 : 0.0);
   baseline.gauge("process.peak_rss_bytes")
       .set(static_cast<double>(obs::peak_rss_bytes()));

@@ -30,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "micro_bench_main.hpp"
 #include "v2v/common/rng.hpp"
 #include "v2v/common/timer.hpp"
 #include "v2v/index/flat_index.hpp"
@@ -447,12 +448,6 @@ BENCHMARK(BM_ProtocolCodec);
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!baseline_only()) {
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-  }
-  write_serve_baseline();
-  return 0;
+  return v2v::bench::micro_bench_main(argc, argv, write_serve_baseline,
+                                      baseline_only());
 }

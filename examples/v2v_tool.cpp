@@ -172,7 +172,8 @@ int cmd_refresh(const CliArgs& args) {
   }
   auto checkpoint = store::load_trainer_state(snap);
 
-  // Materialize the mmapped matrix: the session mutates it in place.
+  // Copy the mmapped matrix out: the session takes ownership of its
+  // Embedding.
   const auto view = snap.float_view();
   MatrixF warm(view.rows(), view.dimensions());
   for (std::size_t r = 0; r < view.rows(); ++r) {
@@ -205,7 +206,7 @@ int cmd_refresh(const CliArgs& args) {
   tuning.epochs = args.get_size("refresh-epochs", 2);
   tuning.initial_lr = args.get_double("refresh-lr", 0.0);
 
-  dynamic::DynamicGraph graph(args.get_bool("directed"), tuning.graph_config());
+  dynamic::DynamicGraph graph(args.get_bool("directed"));
   const auto records = dynamic::read_edge_records_file(edges_path);
   for (const auto& e : records) {
     graph.add_edge(e.u, e.v, e.weight, e.timestamp);
@@ -224,9 +225,12 @@ int cmd_refresh(const CliArgs& args) {
 
   const auto stats =
       args.get_bool("full-retrain") ? session.full_retrain() : session.refresh();
-  std::fprintf(stderr, "%s: %zu dirty vertices, %.2fs walks + %.2fs training\n",
+  std::fprintf(stderr,
+               "%s: %zu dirty vertices, %.2fs compaction + %.2fs walks + "
+               "%.2fs training\n",
                stats.full_retrain ? "full retrain" : "refresh",
-               stats.dirty_vertices, stats.walk_seconds, stats.train_seconds);
+               stats.dirty_vertices, stats.compact_seconds, stats.walk_seconds,
+               stats.train_seconds);
 
   write_checkpoint_snapshot(output, session.embedding(), session.checkpoint());
   std::fprintf(stderr, "wrote resume-capable snapshot %s\n", output.c_str());

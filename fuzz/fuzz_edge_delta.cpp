@@ -9,9 +9,10 @@
 //     optional timestamp column, default-weight elision);
 //   - encode is a fixed point on its own output;
 //   - the accepted deltas can be applied (endpoints clamped to a small
-//     vertex range) to a DynamicGraph and the result compacts: the
-//     parser's weight/endpoint validation is exactly GraphBuilder's
-//     contract, so nothing admitted may blow up graph construction.
+//     vertex range) to a DynamicGraph, whose compact() returns a CSR
+//     with the graph's edge and vertex counts: the parser's
+//     weight/endpoint validation is exactly GraphBuilder's contract, so
+//     nothing admitted may blow up graph construction.
 
 #include <cstddef>
 #include <cstdint>
@@ -71,7 +72,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   }
   v2v::dynamic::DynamicGraph g(false);
   (void)g.apply(std::span<const v2v::dynamic::EdgeDelta>(capped));
-  g.compact();
-  FUZZ_CHECK(g.base().edge_count() == g.edge_count());
+  const v2v::graph::Graph csr = g.compact();
+  FUZZ_CHECK(csr.edge_count() == g.edge_count());
+  FUZZ_CHECK(csr.vertex_count() == g.vertex_count());
   return 0;
 }

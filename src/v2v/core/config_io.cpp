@@ -71,10 +71,6 @@ void save_config(const V2VConfig& config, std::ostream& out) {
   out << "kmeans.threads = " << config.kmeans.threads << '\n';
   out << "kmeans.restarts = " << config.kmeans.restarts << '\n';
   out << "kmeans.assign = " << ml::assign_mode_name(config.kmeans.assign) << '\n';
-  out << "refresh.epochs = " << config.refresh.epochs << '\n';
-  out << "refresh.initial_lr = " << config.refresh.initial_lr << '\n';
-  out << "refresh.compact_min_delta = " << config.refresh.compact_min_delta << '\n';
-  out << "refresh.compact_ratio = " << config.refresh.compact_ratio << '\n';
 }
 
 void save_config_file(const V2VConfig& config, const std::string& path) {
@@ -163,14 +159,6 @@ V2VConfig load_config(std::istream& in) {
        [&](std::string_view v) { as_size(v, config.kmeans.restarts); }},
       {"kmeans.assign",
        [&](std::string_view v) { config.kmeans.assign = parse_assign(v); }},
-      {"refresh.epochs",
-       [&](std::string_view v) { as_size(v, config.refresh.epochs); }},
-      {"refresh.initial_lr",
-       [&](std::string_view v) { as_double(v, config.refresh.initial_lr); }},
-      {"refresh.compact_min_delta",
-       [&](std::string_view v) { as_size(v, config.refresh.compact_min_delta); }},
-      {"refresh.compact_ratio",
-       [&](std::string_view v) { as_double(v, config.refresh.compact_ratio); }},
   };
 
   std::string line;

@@ -10,13 +10,15 @@
 //   config.train.dimensions = 50;
 //   auto model = v2v::learn_embedding(graph, config);
 //   auto communities = v2v::detect_communities(model.embedding, 10);
+//
+// Refreshing an embedding as the graph changes: dynamic::RefreshSession
+// (dynamic/refresh.hpp).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "v2v/dynamic/refresh.hpp"
 #include "v2v/embed/embedding.hpp"
 #include "v2v/embed/trainer.hpp"
 #include "v2v/graph/graph.hpp"
@@ -46,10 +48,6 @@ struct V2VConfig {
   /// overwritten by the detect_communities argument. Config-file keys:
   /// kmeans.threads, kmeans.restarts, kmeans.assign.
   ml::KMeansConfig kmeans;
-  /// Warm-refresh knobs for dynamic::RefreshSession (config-file
-  /// keys refresh.epochs, refresh.initial_lr, refresh.compact_min_delta,
-  /// refresh.compact_ratio). Ignored by plain learn_embedding.
-  dynamic::RefreshTuning refresh;
   /// Master seed; when nonzero it derives the walk and train seeds so one
   /// knob controls full reproducibility.
   std::uint64_t seed = 42;

@@ -1,20 +1,18 @@
-// Delta-overlay graph for streaming workloads.
+// Edge-list graph for streaming workloads.
 //
-// DynamicGraph layers edge insertions/deletions over an immutable CSR
-// base (graph::Graph). The canonical state is an insertion-ordered edge
-// record list with tombstones; a prefix of it is compiled into the CSR
-// base, the suffix lives in per-vertex overlay indexes so merged
-// adjacency reads stay O(degree). Compaction replays the surviving
-// records — in their original insertion order — through GraphBuilder,
-// which makes the compacted CSR *bit-identical* to building a fresh
-// graph from the merged edge set (tested in tests/dynamic/).
+// DynamicGraph is an insertion-ordered list of edge records; removal
+// tombstones the first surviving record between two endpoints, found
+// through a by-pair index. compact() prunes the tombstones and returns
+// the CSR (graph::Graph) of the surviving records, built by replaying
+// them through GraphBuilder in insertion order — so it is *bit-identical*
+// to a GraphBuilder run over live_edges() (tested in tests/dynamic/).
+// The graph keeps no CSR of its own: a refresh round walks the one
+// compact() hands it and drops it with the corpus.
 //
 // Every mutation marks both endpoints dirty; a refresh round drains the
 // dirty set only to count it (RefreshStats::dirty_vertices) — every
-// round walks the whole compacted graph. All public
-// methods are thread-safe (internal v2v::Mutex, rank kDynamicGraph);
-// the one exception is base(), which returns a reference that is only
-// stable while no thread compacts — see its comment.
+// round walks the whole compacted graph. All public methods are
+// thread-safe (internal v2v::Mutex, rank kDynamicGraph).
 #pragma once
 
 #include <cstdint>
@@ -49,17 +47,9 @@ struct LiveEdge {
   double timestamp = graph::kNoTimestamp;
 };
 
-struct DynamicGraphConfig {
-  /// maybe_compact() compacts once the overlay holds at least this many
-  /// mutations...
-  std::size_t compact_min_delta = 1024;
-  /// ...or once mutations exceed this fraction of the base edge count.
-  double compact_ratio = 0.25;
-};
-
 class DynamicGraph {
  public:
-  explicit DynamicGraph(bool directed = false, DynamicGraphConfig config = {});
+  explicit DynamicGraph(bool directed = false) : directed_(directed) {}
 
   // Movable (so it can be returned from factories and owned by value);
   // assignment would need two same-rank locks, so it stays deleted.
@@ -70,7 +60,6 @@ class DynamicGraph {
   ~DynamicGraph();
 
   [[nodiscard]] bool directed() const noexcept { return directed_; }
-  [[nodiscard]] const DynamicGraphConfig& config() const noexcept { return config_; }
 
   /// Ensures at least `n` vertices exist (isolated vertices allowed).
   void reserve_vertices(std::size_t n);
@@ -93,38 +82,16 @@ class DynamicGraph {
   [[nodiscard]] std::size_t vertex_count() const;
   /// Surviving logical edges (arcs for directed, edges for undirected).
   [[nodiscard]] std::size_t edge_count() const;
-  /// Mutations (inserts + effective removes) accumulated since the last
-  /// compaction.
-  [[nodiscard]] std::size_t delta_arcs() const;
 
-  /// Merged adjacency of v: base arcs (minus removed ones, in CSR order)
-  /// followed by overlay arcs in insertion order. O(degree + removed(v)).
-  void merged_arcs(graph::VertexId v, std::vector<graph::Arc>& out) const;
-  [[nodiscard]] std::size_t merged_degree(graph::VertexId v) const;
-  [[nodiscard]] bool has_edge(graph::VertexId u, graph::VertexId v) const;
-
-  /// Distinct vertices whose neighborhood changed since the last drain.
-  [[nodiscard]] std::size_t dirty_count() const;
-  /// Returns dirty_count() and clears the dirty set.
+  /// Clears the dirty set and returns how many distinct vertices it held:
+  /// those whose neighborhood changed since the last drain.
   [[nodiscard]] std::size_t drain_dirty();
 
-  /// The CSR as of the last compaction. The reference is stable only
-  /// while no thread calls compact()/maybe_compact(); the refresh driver
-  /// guarantees this by quiescing mutators before walking.
-  [[nodiscard]] const graph::Graph& base() const noexcept { return base_; }
-
-  [[nodiscard]] bool compaction_due() const;
-  /// Compacts when the configured threshold is reached; returns whether
-  /// a compaction ran.
-  bool maybe_compact();
-  /// Rebuilds the CSR base from the surviving records and clears the
-  /// overlay. Does NOT clear the dirty set (refresh owns that).
-  void compact();
-
-  /// From-scratch CSR over the surviving records, without mutating the
-  /// overlay. compact() produces exactly this graph (the bit-identity
-  /// contract).
-  [[nodiscard]] graph::Graph build_fresh_csr() const;
+  /// Prunes tombstoned records and returns the CSR of the survivors,
+  /// built through GraphBuilder in insertion order: bit-identical to a
+  /// GraphBuilder replay of live_edges(). Does NOT clear the dirty set
+  /// (refresh owns that).
+  [[nodiscard]] graph::Graph compact();
 
   /// Surviving edges in canonical insertion order. Feeding these back
   /// through add_edge reproduces this graph's compacted CSR exactly.
@@ -140,37 +107,18 @@ class DynamicGraph {
 
   [[nodiscard]] std::uint64_t pair_key(graph::VertexId u,
                                        graph::VertexId v) const noexcept;
-  void index_record(std::uint32_t id) V2V_REQUIRES(mutex_);
-  void compact_locked() V2V_REQUIRES(mutex_);
-  [[nodiscard]] bool compaction_due_locked() const V2V_REQUIRES(mutex_);
-  [[nodiscard]] graph::Graph build_locked() const V2V_REQUIRES(mutex_);
+  void mark_dirty(graph::VertexId u, graph::VertexId v) V2V_REQUIRES(mutex_);
 
   mutable Mutex mutex_{"dynamic::DynamicGraph", lock_rank::kDynamicGraph};
   bool directed_ = false;
-  DynamicGraphConfig config_;
 
   /// Canonical edge list, insertion order, tombstoned by `alive`.
   std::vector<Record> records_ V2V_GUARDED_BY(mutex_);
-  /// records_[0..base_records_) are compiled into base_.
-  std::size_t base_records_ V2V_GUARDED_BY(mutex_) = 0;
   std::size_t live_edges_ V2V_GUARDED_BY(mutex_) = 0;
-  std::size_t mutations_since_compact_ V2V_GUARDED_BY(mutex_) = 0;
   std::size_t vertex_count_ V2V_GUARDED_BY(mutex_) = 0;
-
-  // base_ is written only by compact_locked() under mutex_ and read
-  // unlocked via base(); see base()'s stability contract.
-  graph::Graph base_;
 
   /// (u,v) pair key -> surviving record ids, for O(1)-ish removal.
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_pair_
-      V2V_GUARDED_BY(mutex_);
-  /// vertex -> overlay record ids (>= base_records_); undirected records
-  /// appear under both endpoints (twice for self-loops, matching the two
-  /// CSR arcs they compile to).
-  std::unordered_map<graph::VertexId, std::vector<std::uint32_t>> overlay_
-      V2V_GUARDED_BY(mutex_);
-  /// vertex -> targets of base arcs that were removed (multiset).
-  std::unordered_map<graph::VertexId, std::vector<graph::VertexId>> removed_base_
       V2V_GUARDED_BY(mutex_);
   std::vector<bool> dirty_ V2V_GUARDED_BY(mutex_);
   std::size_t dirty_count_ V2V_GUARDED_BY(mutex_) = 0;

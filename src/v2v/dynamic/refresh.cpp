@@ -32,13 +32,12 @@ RefreshSession::RefreshSession(DynamicGraph graph,
   if (train_config_.metrics == nullptr) train_config_.metrics = metrics_;
   if (walk_config_.metrics == nullptr) walk_config_.metrics = metrics_;
 
-  // The construction-time edge set is the baseline: compact it into the
-  // CSR and forget the dirtiness the bulk load produced.
-  graph_.compact();
+  // The construction-time edge set is the baseline: forget the dirtiness
+  // the bulk load produced.
   (void)graph_.drain_dirty();
   V2V_CHECK(graph_.vertex_count() > 0, "RefreshSession: empty graph");
 
-  (void)train(/*cold=*/true);
+  (void)train(graph_.compact(), /*cold=*/true);
 }
 
 RefreshSession::RefreshSession(DynamicGraph graph, embed::Embedding warm_start,
@@ -64,21 +63,20 @@ RefreshSession::RefreshSession(DynamicGraph graph, embed::Embedding warm_start,
 
   // Each round walks the graph anew, so from here on the session is
   // indistinguishable from one that never exited.
-  graph_.compact();
   (void)graph_.drain_dirty();
   V2V_CHECK(graph_.vertex_count() > 0, "RefreshSession: empty graph");
 }
 
-RefreshStats RefreshSession::train(bool cold) {
+RefreshStats RefreshSession::train(const graph::Graph& graph, bool cold) {
   RefreshStats stats;
   embed::TrainResult result;
   const walk::CorpusRun run = walk::with_corpus(
-      graph_.base(), walk_config_, walk_seed_, [&](const walk::CorpusReader& corpus) {
+      graph, walk_config_, walk_seed_, [&](const walk::CorpusReader& corpus) {
         const WallTimer train_timer;
         if (cold) {
           embed::TrainConfig config = train_config_;
           config.capture_checkpoint = true;
-          result = embed::train_embedding(corpus, graph_.base().vertex_count(), config);
+          result = embed::train_embedding(corpus, graph.vertex_count(), config);
         } else {
           result = embed::train_embedding_resume(corpus, embedding_, checkpoint_,
                                                  refresh_train_config());
@@ -123,9 +121,12 @@ RefreshStats RefreshSession::full_retrain() { return run_round(/*cold=*/true); }
 RefreshStats RefreshSession::run_round(bool cold) {
   const WallTimer total_timer;
   const std::size_t dirty = graph_.drain_dirty();
-  graph_.compact();
-  RefreshStats stats = train(cold);
+  const WallTimer compact_timer;
+  const graph::Graph graph = graph_.compact();
+  const double compact_seconds = compact_timer.seconds();
+  RefreshStats stats = train(graph, cold);
   stats.dirty_vertices = dirty;
+  stats.compact_seconds = compact_seconds;
   stats.full_retrain = cold;
   stats.total_seconds = total_timer.seconds();
   record_stats(stats);
@@ -139,6 +140,7 @@ void RefreshSession::record_stats(const RefreshStats& stats) const {
       .add(1);
   metrics_->gauge("dynamic.dirty_vertices")
       .set(static_cast<double>(stats.dirty_vertices));
+  metrics_->gauge("dynamic.compact_seconds").set(stats.compact_seconds);
   metrics_->gauge("dynamic.walk_seconds").set(stats.walk_seconds);
   metrics_->gauge("dynamic.train_seconds").set(stats.train_seconds);
   metrics_->gauge("dynamic.total_seconds").set(stats.total_seconds);

@@ -1,26 +1,26 @@
 // The dynamic-refresh driver: edge churn in, refreshed embedding out.
 //
 // A RefreshSession owns the DynamicGraph, its walk and train configs, the
-// walk seed, the embedding and the trainer checkpoint. It keeps no corpus:
-// the bootstrap, each refresh() round and each full_retrain() build the
-// corpus of the compacted graph, train on it and drop it. A refresh()
-// round:
+// walk seed, the embedding and the trainer checkpoint. It keeps no corpus
+// and no CSR: the bootstrap, each refresh() round and each full_retrain()
+// take the CSR graph.compact() returns, build its corpus, train on it and
+// drop both. A refresh() round:
 //
-//   drain dirty set -> compact the graph -> build the corpus of
-//   graph.base() at the walk seed (walk::with_corpus: streamed when
+//   drain dirty set -> graph.compact() -> build the corpus of the
+//   returned CSR at the walk seed (walk::with_corpus: streamed when
 //   walk_config.streaming is set, in RAM otherwise) -> continue SGD from
 //   the warm embedding + checkpoint (embed::train_embedding_resume) for a
-//   few cheap epochs -> drop the corpus.
+//   few cheap epochs -> drop the corpus and the CSR.
 //
-// So every round trains on walk::generate_corpus(graph.base(),
+// So every round trains on walk::generate_corpus(graph.compact(),
 // walk_config, walk_seed) by construction: there is no stored corpus to
 // fall out of step with the graph. full_retrain() is the A/B escape
 // hatch: same walk seed, cold-start training, resets the warm-start
 // lineage.
 //
 // Mutations applied BEFORE the session is constructed are part of the
-// baseline (the constructor compacts and clears the dirty set); only
-// apply()ed deltas count as churn.
+// baseline (the constructor clears the dirty set); only apply()ed deltas
+// count as churn.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +36,7 @@ class MetricsRegistry;
 
 namespace v2v::dynamic {
 
-/// Knobs of the warm refresh path (config-file keys refresh.*).
+/// Knobs of the warm refresh path.
 struct RefreshTuning {
   /// Continued-SGD passes per refresh (count; a fraction of a full
   /// retrain's epochs is the whole point).
@@ -44,17 +44,11 @@ struct RefreshTuning {
   /// Starting step size of a refresh run; 0 (default) continues from the
   /// checkpoint's decayed last_lr.
   double initial_lr = 0.0;
-  /// DynamicGraph compaction thresholds (see DynamicGraphConfig).
-  std::size_t compact_min_delta = 1024;
-  double compact_ratio = 0.25;
-
-  [[nodiscard]] DynamicGraphConfig graph_config() const noexcept {
-    return DynamicGraphConfig{compact_min_delta, compact_ratio};
-  }
 };
 
 struct RefreshStats {
   std::size_t dirty_vertices = 0;  ///< drained this round
+  double compact_seconds = 0.0;    ///< graph.compact(): prune + CSR build
   double walk_seconds = 0.0;
   double train_seconds = 0.0;
   double total_seconds = 0.0;
@@ -73,11 +67,11 @@ class RefreshSession {
                  const RefreshTuning& tuning, std::uint64_t seed,
                  obs::MetricsRegistry* metrics = nullptr);
 
-  /// Resume: picks up a persisted embedding + checkpoint (snapshot v3)
-  /// and runs no walk. `graph` must hold the edge set the snapshot was
-  /// trained on, in the original insertion order; later rounds walk it at
-  /// checkpoint.walk_seed. walk_config must agree with the checkpoint's
-  /// walks_per_vertex/walk_length.
+  /// Resume: picks up a persisted embedding + checkpoint (snapshot v3),
+  /// drains the dirty set and runs no walk. `graph` must hold the edge
+  /// set the snapshot was trained on, in the original insertion order;
+  /// later rounds walk it at checkpoint.walk_seed. walk_config must agree
+  /// with the checkpoint's walks_per_vertex/walk_length.
   RefreshSession(DynamicGraph graph, embed::Embedding warm_start,
                  embed::TrainerCheckpoint checkpoint,
                  const walk::WalkConfig& walk_config,
@@ -108,15 +102,16 @@ class RefreshSession {
   [[nodiscard]] std::uint64_t walk_seed() const noexcept { return walk_seed_; }
 
  private:
-  /// Drains the dirty set, compacts the graph, trains (below) and
-  /// records the round's stats: refresh() and full_retrain().
+  /// Drains the dirty set, compacts the graph, trains (below) on the
+  /// returned CSR and records the round's stats: refresh() and
+  /// full_retrain().
   RefreshStats run_round(bool cold);
-  /// Builds the corpus of graph_.base() at walk_seed_ (walk::with_corpus),
+  /// Builds the corpus of `graph` at walk_seed_ (walk::with_corpus),
   /// trains on it and drops it; fills the walk and train stats. `cold`
   /// (bootstrap and full_retrain) replaces the embedding and starts a
   /// fresh checkpoint lineage stamped with the session's walk identity;
   /// otherwise training resumes from the embedding and checkpoint.
-  RefreshStats train(bool cold);
+  RefreshStats train(const graph::Graph& graph, bool cold);
   [[nodiscard]] embed::TrainConfig refresh_train_config() const;
   void record_stats(const RefreshStats& stats) const;
 

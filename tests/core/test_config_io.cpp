@@ -35,10 +35,6 @@ TEST(ConfigIo, RoundTripNonDefaultValues) {
   config.kmeans.threads = 5;
   config.kmeans.restarts = 21;
   config.kmeans.assign = ml::KMeansAssign::kNormCached;
-  config.refresh.epochs = 6;
-  config.refresh.initial_lr = 0.02;
-  config.refresh.compact_min_delta = 512;
-  config.refresh.compact_ratio = 0.125;
 
   std::stringstream buffer;
   save_config(config, buffer);
@@ -68,10 +64,6 @@ TEST(ConfigIo, RoundTripNonDefaultValues) {
   EXPECT_EQ(loaded.kmeans.threads, 5u);
   EXPECT_EQ(loaded.kmeans.restarts, 21u);
   EXPECT_EQ(loaded.kmeans.assign, ml::KMeansAssign::kNormCached);
-  EXPECT_EQ(loaded.refresh.epochs, 6u);
-  EXPECT_DOUBLE_EQ(loaded.refresh.initial_lr, 0.02);
-  EXPECT_EQ(loaded.refresh.compact_min_delta, 512u);
-  EXPECT_DOUBLE_EQ(loaded.refresh.compact_ratio, 0.125);
 }
 
 TEST(ConfigIo, TopLevelStreamingKeyIsRejected) {
@@ -89,6 +81,25 @@ TEST(ConfigIo, TopLevelStreamingKeyIsRejected) {
     EXPECT_NE(std::string(e.what()).find("config line 2: unknown key 'streaming'"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST(ConfigIo, RefreshKeysAreRejected) {
+  // Files saved while V2VConfig carried a refresh block have these keys;
+  // they are now unknown keys, reported with their line.
+  for (const std::string key : {"refresh.epochs", "refresh.initial_lr",
+                                "refresh.compact_min_delta",
+                                "refresh.compact_ratio"}) {
+    std::stringstream old("seed = 3\n" + key + " = 1\n");
+    try {
+      (void)load_config(old);
+      ADD_FAILURE() << key << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("config line 2: unknown key '" +
+                                           key + "'"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -1,8 +1,8 @@
-// DynamicGraph contracts: merged adjacency equals the from-scratch CSR's
-// adjacency, compaction is *byte-identical* to a fresh GraphBuilder run
-// over the surviving edges (the determinism contract the refresh
-// driver's corpus builds on), and the dirty set tracks exactly the
-// endpoints of applied mutations.
+// DynamicGraph contracts: the CSR compact() returns is *byte-identical*
+// to a GraphBuilder replay of live_edges() (the determinism contract the
+// refresh driver's corpus builds on), removal takes the earliest
+// surviving record, and the dirty set tracks exactly the endpoints of
+// applied mutations.
 #include "v2v/dynamic/dynamic_graph.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 namespace v2v::dynamic {
 namespace {
 
-using graph::Arc;
 using graph::Graph;
 using graph::GraphBuilder;
 using graph::VertexId;
@@ -40,10 +39,19 @@ void expect_identical(const Graph& a, const Graph& b) {
   }
 }
 
+/// GraphBuilder replay of g.live_edges(): the CSR g.compact() must equal.
+Graph replay_live_edges(const DynamicGraph& g) {
+  GraphBuilder builder(g.directed());
+  builder.reserve_vertices(g.vertex_count());
+  for (const auto& e : g.live_edges()) {
+    builder.add_edge(e.u, e.v, e.weight, e.timestamp);
+  }
+  return builder.build();
+}
+
 /// Applies a deterministic random mutation mix and returns the graph.
-DynamicGraph churn(bool directed, std::uint64_t seed, std::size_t ops,
-                   DynamicGraphConfig config = {}) {
-  DynamicGraph g(directed, config);
+DynamicGraph churn(bool directed, std::uint64_t seed, std::size_t ops) {
+  DynamicGraph g(directed);
   g.reserve_vertices(24);
   Rng rng(seed);
   for (std::size_t i = 0; i < ops; ++i) {
@@ -59,37 +67,14 @@ DynamicGraph churn(bool directed, std::uint64_t seed, std::size_t ops,
   return g;
 }
 
-TEST(DynamicGraph, MergedAdjacencyMatchesFreshCsr) {
-  for (const bool directed : {false, true}) {
-    auto g = churn(directed, 7, 300);
-    const Graph fresh = g.build_fresh_csr();
-    std::vector<Arc> merged;
-    for (VertexId v = 0; v < fresh.vertex_count(); ++v) {
-      g.merged_arcs(v, merged);
-      const auto targets = fresh.neighbors(v);
-      ASSERT_EQ(merged.size(), targets.size()) << "vertex " << v;
-      ASSERT_EQ(g.merged_degree(v), targets.size());
-      const auto weights = fresh.arc_weights(v);
-      for (std::size_t i = 0; i < merged.size(); ++i) {
-        EXPECT_EQ(merged[i].target, targets[i]);
-        if (!weights.empty()) {
-          EXPECT_EQ(merged[i].weight, weights[i]);
-        }
-      }
-    }
-  }
-}
-
 TEST(DynamicGraph, CompactionIsByteIdenticalToFreshBuild) {
   for (const bool directed : {false, true}) {
     for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
       auto g = churn(directed, seed, 400);
-      const Graph fresh = g.build_fresh_csr();
-      g.compact();
-      expect_identical(g.base(), fresh);
-      // Compacting an already-compacted graph is a no-op-equivalent.
-      g.compact();
-      expect_identical(g.base(), fresh);
+      const Graph fresh = replay_live_edges(g);
+      expect_identical(g.compact(), fresh);
+      // Compacting an already-compacted graph returns the same CSR.
+      expect_identical(g.compact(), fresh);
     }
   }
 }
@@ -111,21 +96,20 @@ TEST(DynamicGraph, CompactionInterleavedWithChurnStaysIdentical) {
       g.add_edge(u, v);
       oracle.add_edge(u, v);
     }
-    if (rng.next_below(64) == 0) g.compact();
+    if (rng.next_below(64) == 0) (void)g.compact();
   }
-  g.compact();
-  expect_identical(g.base(), oracle.build_fresh_csr());
+  expect_identical(g.compact(), replay_live_edges(oracle));
 }
 
 TEST(DynamicGraph, LiveEdgesReplayReproducesCsr) {
   auto g = churn(false, 11, 350);
-  g.compact();
+  const Graph compacted = g.compact();
   DynamicGraph replay(false);
   replay.reserve_vertices(g.vertex_count());
   for (const auto& e : g.live_edges()) {
     replay.add_edge(e.u, e.v, e.weight, e.timestamp);
   }
-  expect_identical(replay.build_fresh_csr(), g.base());
+  expect_identical(replay.compact(), compacted);
 }
 
 TEST(DynamicGraph, DirtySetTracksMutationEndpoints) {
@@ -133,26 +117,24 @@ TEST(DynamicGraph, DirtySetTracksMutationEndpoints) {
   g.reserve_vertices(10);
   g.add_edge(1, 2);
   g.add_edge(3, 4);
-  EXPECT_EQ(g.dirty_count(), 4u);
   EXPECT_EQ(g.drain_dirty(), 4u);
-  EXPECT_EQ(g.dirty_count(), 0u);
+  EXPECT_EQ(g.drain_dirty(), 0u);
 
   // A vertex counts once however many mutations touch it.
   EXPECT_TRUE(g.remove_edge(1, 2));
   g.add_edge(2, 1);
-  EXPECT_EQ(g.dirty_count(), 2u);
+  EXPECT_EQ(g.drain_dirty(), 2u);
   // A remove that matches nothing dirties nothing.
-  (void)g.drain_dirty();
   EXPECT_FALSE(g.remove_edge(7, 8));
-  EXPECT_EQ(g.dirty_count(), 0u);
+  EXPECT_EQ(g.drain_dirty(), 0u);
 }
 
 TEST(DynamicGraph, RemoveMatchesEitherOrientationWhenUndirected) {
   DynamicGraph g(false);
   g.add_edge(2, 5);
-  EXPECT_TRUE(g.has_edge(5, 2));
   EXPECT_TRUE(g.remove_edge(5, 2));
   EXPECT_EQ(g.edge_count(), 0u);
+  EXPECT_TRUE(g.live_edges().empty());
 
   DynamicGraph d(true);
   d.add_edge(2, 5);
@@ -171,55 +153,21 @@ TEST(DynamicGraph, ApplyBatchCountsEffectiveDeltas) {
   };
   EXPECT_EQ(g.apply(std::span<const EdgeDelta>(deltas)), 3u);
   EXPECT_EQ(g.edge_count(), 1u);
-  EXPECT_TRUE(g.has_edge(1, 2));
-  EXPECT_FALSE(g.has_edge(0, 1));
-}
-
-TEST(DynamicGraph, AutoCompactionHonorsThresholds) {
-  DynamicGraphConfig config;
-  config.compact_min_delta = 8;
-  config.compact_ratio = 10.0;  // needs > 10x base edges to fire
-  DynamicGraph g(false, config);
-  g.reserve_vertices(64);
-  // Seed a 40-edge base so the ratio trigger stays quiet (it would need
-  // > 400 overlay mutations) and only the absolute threshold governs.
-  for (VertexId i = 0; i < 40; ++i) g.add_edge(i, i + 1);
-  g.compact();
-  EXPECT_EQ(g.delta_arcs(), 0u);
-
-  for (VertexId i = 0; i < 7; ++i) {
-    g.add_edge(i, i + 20);
-    EXPECT_FALSE(g.compaction_due());
-    EXPECT_FALSE(g.maybe_compact());
-  }
-  g.add_edge(7, 27);
-  EXPECT_TRUE(g.compaction_due());
-  EXPECT_TRUE(g.maybe_compact());
-  EXPECT_EQ(g.delta_arcs(), 0u);
-  EXPECT_EQ(g.base().edge_count(), 48u);
-  EXPECT_FALSE(g.maybe_compact());
-}
-
-TEST(DynamicGraph, RatioTriggerFiresOnEmptyBase) {
-  // With an empty base any mutation exceeds ratio * 0, so streaming
-  // bootstrap loads compact on the first maybe_compact().
-  DynamicGraph g(false);
-  g.add_edge(0, 1);
-  EXPECT_TRUE(g.compaction_due());
-  EXPECT_TRUE(g.maybe_compact());
-  EXPECT_EQ(g.base().edge_count(), 1u);
+  const auto live = g.live_edges();
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(live[0].u, 1u);
+  EXPECT_EQ(live[0].v, 2u);
 }
 
 TEST(DynamicGraph, WeightsAndTimestampsSurviveCompaction) {
   DynamicGraph g(false);
   g.add_edge(0, 1, 2.5, 10.0);
   g.add_edge(1, 2, 0.5, 20.0);
-  g.compact();
-  const auto& base = g.base();
-  ASSERT_TRUE(base.has_edge_weights());
-  ASSERT_TRUE(base.has_timestamps());
-  EXPECT_EQ(base.arc_weights(0)[0], 2.5);
-  EXPECT_EQ(base.arc_timestamps(0)[0], 10.0);
+  const Graph csr = g.compact();
+  ASSERT_TRUE(csr.has_edge_weights());
+  ASSERT_TRUE(csr.has_timestamps());
+  EXPECT_EQ(csr.arc_weights(0)[0], 2.5);
+  EXPECT_EQ(csr.arc_timestamps(0)[0], 10.0);
 }
 
 TEST(DynamicGraph, VertexCountGrowsWithEndpoints) {
@@ -231,8 +179,7 @@ TEST(DynamicGraph, VertexCountGrowsWithEndpoints) {
   EXPECT_EQ(g.vertex_count(), 10u);
   g.reserve_vertices(15);
   EXPECT_EQ(g.vertex_count(), 15u);
-  g.compact();
-  EXPECT_EQ(g.base().vertex_count(), 15u);
+  EXPECT_EQ(g.compact().vertex_count(), 15u);
 }
 
 TEST(DynamicGraph, RejectsNegativeWeight) {
@@ -247,10 +194,11 @@ TEST(DynamicGraph, ParallelEdgesRemoveOneAtATime) {
   EXPECT_EQ(g.edge_count(), 2u);
   EXPECT_TRUE(g.remove_edge(0, 1));
   EXPECT_EQ(g.edge_count(), 1u);
-  EXPECT_TRUE(g.has_edge(0, 1));
   // The earliest surviving record goes first; the weight-2 edge remains.
-  g.compact();
-  EXPECT_EQ(g.base().arc_weights(0)[0], 2.0);
+  const auto live = g.live_edges();
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(live[0].weight, 2.0);
+  EXPECT_EQ(g.compact().arc_weights(0)[0], 2.0);
   EXPECT_TRUE(g.remove_edge(0, 1));
   EXPECT_FALSE(g.remove_edge(0, 1));
 }
@@ -262,8 +210,7 @@ TEST(DynamicGraph, SelfLoopCompactsLikeGraphBuilder) {
   GraphBuilder builder(false);
   builder.add_edge(3, 3);
   builder.add_edge(1, 3);
-  g.compact();
-  expect_identical(g.base(), builder.build());
+  expect_identical(g.compact(), builder.build());
 }
 
 }  // namespace

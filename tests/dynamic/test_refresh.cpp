@@ -81,7 +81,7 @@ std::vector<EdgeDelta> churn_deltas(std::size_t n, std::size_t count,
 TEST(DynamicRefresh, BootstrapMatchesLearnEmbedding) {
   const std::uint64_t master_seed = 17;
   auto g = seed_graph(40, 100, 3);
-  const graph::Graph plain = g.build_fresh_csr();
+  const graph::Graph plain = g.compact();
 
   V2VConfig config;
   config.walk = small_walk_config();
@@ -203,7 +203,7 @@ TEST(DynamicRefresh, RefreshGrowsTheGraph) {
                             graph::kNoTimestamp});
   }
   (void)session.refresh();
-  EXPECT_EQ(session.graph().base().vertex_count(), 35u);
+  EXPECT_EQ(session.graph().vertex_count(), 35u);
   EXPECT_EQ(session.embedding().vertex_count(), 35u);
 }
 
@@ -213,8 +213,11 @@ TEST(DynamicRefresh, MetricsRecorded) {
                          small_train_config(), {}, 37, &metrics);
   session.apply(EdgeDelta{EdgeDelta::Op::kInsert, 2, 3, 1.0,
                           graph::kNoTimestamp});
-  (void)session.refresh();
+  const auto stats = session.refresh();
   EXPECT_EQ(metrics.counter("dynamic.refreshes").value(), 1u);
+  EXPECT_GT(stats.compact_seconds, 0.0);
+  EXPECT_EQ(metrics.gauge("dynamic.compact_seconds").value(),
+            stats.compact_seconds);
   (void)session.full_retrain();
   EXPECT_EQ(metrics.counter("dynamic.full_retrains").value(), 1u);
 }
