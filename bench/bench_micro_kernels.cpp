@@ -5,15 +5,18 @@
 // The google-benchmark suite registers BM_Kernel/<kernel>/<variant>/<n>
 // for every KernelSet member over every variant compiled_variants() lists.
 // n is the row width d in {32, 64, 128}; for pq_adc it is the subspace
-// count m in {8, 16}, for pq_lut the subspace width d_s = 4 (the served
-// IVF-PQ shape: 64 dims in 16 subspaces).
+// count m in {8, 16} of a list call over kListCodes codes (one IVF posting
+// list), for pq_lut the subspace width d_s = 4 (the served IVF-PQ shape:
+// 64 dims in 16 subspaces).
 //
 // main() then writes $V2V_BENCH_OUT/BENCH_micro_kernels.json (default
 // bench_out/, schema v2v.metrics.v1) with one gauge
 // kernels.sse2_speedup.<kernel> per member that has its own SSE2 body
-// (its SSE2 function pointer differs from the scalar one): the geometric
-// mean over the shapes of scalar time / SSE2 time, each time the best of
-// 5 interleaved rounds. A body that stops clearing 1.2x should go back to
+// (its SSE2 function pointer differs from the scalar one), and one gauge
+// kernels.avx2_speedup.<kernel> per quantized member (pq_adc, pq_lut,
+// sq8_sqdist, sq8_dot) that has its own AVX2 body: the geometric mean
+// over the shapes of scalar time / variant time, each time the best of 5
+// interleaved rounds. A body that stops clearing 1.2x should go back to
 // the reference; CI's release lane asserts every gauge >= 1.2. Pass
 // --benchmark_filter with no match to skip the suite and only refresh the
 // JSON.
@@ -45,13 +48,16 @@ using kernels::KernelSet;
 constexpr std::size_t kMaxWidth = 128;
 constexpr std::size_t kMaxSubspaces = 16;
 constexpr std::size_t kSubspaceWidth = 4;
+/// Codes per pq_adc list call: about two IVF posting lists of the served
+/// 20,000-row index (nlist ~ sqrt(rows) = 141).
+constexpr std::size_t kListCodes = 256;
 
 /// Operands for every member at up to kMaxWidth elements, each starting on
 /// a cache line like a MatrixF row. The in-place kernels (axpy, scale,
 /// add, fill, add_fd, scale_d) write y / dy with factors that keep them
 /// finite and normal over any number of calls.
 struct Operands {
-  AlignedVector<float> a, b, y, vmin, scale, lut, book, table;
+  AlignedVector<float> a, b, y, vmin, scale, lut, book, table, adc;
   AlignedVector<double> da, db, dy;
   AlignedVector<std::uint8_t> codes;
 
@@ -59,7 +65,8 @@ struct Operands {
       : a(kMaxWidth), b(kMaxWidth), y(kMaxWidth), vmin(kMaxWidth),
         scale(kMaxWidth), lut(kMaxSubspaces * kernels::kPqLutStride),
         book(kSubspaceWidth * kernels::kPqLutStride), table(kernels::kPqLutStride),
-        da(kMaxWidth), db(kMaxWidth), dy(kMaxWidth), codes(kMaxWidth) {
+        adc(kListCodes), da(kMaxWidth), db(kMaxWidth), dy(kMaxWidth),
+        codes(kListCodes * kMaxSubspaces) {
     Rng rng(7);
     const auto gauss = [&rng] { return static_cast<float>(rng.next_gaussian()); };
     for (auto* v : {&a, &b, &y, &vmin, &lut, &book}) {
@@ -151,7 +158,8 @@ const std::vector<Member>& members() {
        }},
       {"pq_adc", {8, kMaxSubspaces}, &differs<&KernelSet::pq_adc>,
        [](const KernelSet& k, Operands& x, std::size_t m) {
-         benchmark::DoNotOptimize(k.pq_adc(x.lut.data(), x.codes.data(), m));
+         k.pq_adc(x.lut.data(), x.codes.data(), m, kListCodes, x.adc.data());
+         benchmark::DoNotOptimize(x.adc.data());
        }},
       {"pq_lut", {kSubspaceWidth}, &differs<&KernelSet::pq_lut>,
        [](const KernelSet& k, Operands& x, std::size_t d) {
@@ -204,23 +212,23 @@ double time_calls(const Member& member, const KernelSet& set, Operands& x,
   return timer.seconds();
 }
 
-/// Scalar time / SSE2 time at shape n, each the best of 5 rounds of the
-/// same call count (enough for ~5 ms of scalar work); the two variants
+/// Scalar time / variant time at shape n, each the best of 5 rounds of
+/// the same call count (enough for ~5 ms of scalar work); the two
 /// alternate round by round so clock drift hits both alike.
 double speedup_at(const Member& member, const KernelSet& scalar,
-                  const KernelSet& sse2, std::size_t n) {
+                  const KernelSet& variant, std::size_t n) {
   Operands x;
   std::size_t calls = 1024;
   while (time_calls(member, scalar, x, n, calls) < 5e-3 && calls < (1u << 26)) {
     calls *= 2;
   }
   double best_scalar = std::numeric_limits<double>::infinity();
-  double best_sse2 = best_scalar;
+  double best_variant = best_scalar;
   for (int round = 0; round < 5; ++round) {
     best_scalar = std::min(best_scalar, time_calls(member, scalar, x, n, calls));
-    best_sse2 = std::min(best_sse2, time_calls(member, sse2, x, n, calls));
+    best_variant = std::min(best_variant, time_calls(member, variant, x, n, calls));
   }
-  return best_scalar / best_sse2;
+  return best_scalar / best_variant;
 }
 
 /// Directory for JSON baselines: $V2V_BENCH_OUT, default "bench_out".
@@ -230,25 +238,37 @@ std::filesystem::path bench_out_dir() {
                                           : std::filesystem::path("bench_out");
 }
 
+/// True for the members whose AVX2 bodies get a speedup gauge: the
+/// quantized kernels, whose bodies are bit-identical to the reference and
+/// so stand or fall on speed alone.
+bool gauged_on_avx2(const Member& member) {
+  const std::string name = member.name;
+  return name == "pq_adc" || name == "pq_lut" || name == "sq8_sqdist" ||
+         name == "sq8_dot";
+}
+
 void write_speedup_baseline() {
   const auto variants = kernels::compiled_variants();
   const KernelSet& scalar = variants.front().second;
   obs::MetricsRegistry baseline;
   baseline.counter(std::string("isa.") + kernels::active_isa_name()).add(1);
-  for (const auto& [isa, sse2] : variants) {
-    if (isa != kernels::Isa::kSse2) continue;
+  for (const auto& [isa, set] : variants) {
+    if (isa == kernels::Isa::kScalar) continue;
+    const char* const isa_name = kernels::isa_name(isa);
     for (const Member& member : members()) {
-      if (!member.own_body(sse2, scalar)) continue;
+      if (!member.own_body(set, scalar)) continue;
+      if (isa == kernels::Isa::kAvx2 && !gauged_on_avx2(member)) continue;
       double log_sum = 0.0;
       for (const std::size_t n : member.shapes) {
-        const double ratio = speedup_at(member, scalar, sse2, n);
-        std::printf("sse2 %-10s n=%-3zu %.2fx\n", member.name, n, ratio);
+        const double ratio = speedup_at(member, scalar, set, n);
+        std::printf("%s %-10s n=%-3zu %.2fx\n", isa_name, member.name, n, ratio);
         log_sum += std::log(ratio);
       }
       const double geomean =
           std::exp(log_sum / static_cast<double>(member.shapes.size()));
-      baseline.gauge(std::string("kernels.sse2_speedup.") + member.name).set(geomean);
-      std::printf("sse2 %-10s geometric mean %.2fx\n", member.name, geomean);
+      baseline.gauge(std::string("kernels.") + isa_name + "_speedup." + member.name)
+          .set(geomean);
+      std::printf("%s %-10s geometric mean %.2fx\n", isa_name, member.name, geomean);
     }
   }
   const auto dir = bench_out_dir();

@@ -53,13 +53,41 @@ namespace scalar {
 // with adc_reduce8; pq_lut sums each entry in dimension order like
 // scalar::sqdist. Those are the exact orders every SIMD variant reproduces.
 
-float pq_adc(const float* lut, const std::uint8_t* codes,
-             std::size_t m) noexcept {
-  float lanes[8] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
-  for (std::size_t s = 0; s < m; ++s) {
-    lanes[s & 7] += lut[s * kPqLutStride + codes[s]];
+void pq_adc(const float* lut, const std::uint8_t* codes, std::size_t m,
+            std::size_t count, float* out) noexcept {
+  // One named accumulator per lane keeps the lanes in registers; indexing
+  // an array by s & 7 sends every add through memory (about 3x slower).
+  constexpr std::size_t kS = kPqLutStride;
+  for (std::size_t i = 0; i < count; ++i, codes += m) {
+    float l0 = 0.0f, l1 = 0.0f, l2 = 0.0f, l3 = 0.0f;
+    float l4 = 0.0f, l5 = 0.0f, l6 = 0.0f, l7 = 0.0f;
+    std::size_t s = 0;
+    for (; s + 8 <= m; s += 8) {
+      const float* t = lut + s * kS;
+      const std::uint8_t* c = codes + s;
+      l0 += t[c[0]];
+      l1 += t[kS + c[1]];
+      l2 += t[2 * kS + c[2]];
+      l3 += t[3 * kS + c[3]];
+      l4 += t[4 * kS + c[4]];
+      l5 += t[5 * kS + c[5]];
+      l6 += t[6 * kS + c[6]];
+      l7 += t[7 * kS + c[7]];
+    }
+    // The last m % 8 terms land in lanes 0 .. m % 8 - 1.
+    const std::size_t rest = m - s;
+    const float* t = lut + s * kS;
+    const std::uint8_t* c = codes + s;
+    if (rest > 0) l0 += t[c[0]];
+    if (rest > 1) l1 += t[kS + c[1]];
+    if (rest > 2) l2 += t[2 * kS + c[2]];
+    if (rest > 3) l3 += t[3 * kS + c[3]];
+    if (rest > 4) l4 += t[4 * kS + c[4]];
+    if (rest > 5) l5 += t[5 * kS + c[5]];
+    if (rest > 6) l6 += t[6 * kS + c[6]];
+    const float lanes[8] = {l0, l1, l2, l3, l4, l5, l6, l7};
+    out[i] = adc_reduce8(lanes);
   }
-  return adc_reduce8(lanes);
 }
 
 void pq_lut(const float* q, const float* book, std::size_t d,
@@ -128,14 +156,15 @@ KernelSet scalar_set() noexcept {
 
 // ---------------------------------------------------------------- SSE2 --
 //
-// Seven members keep an SSE2 body: dot (sse2::dot, in kernels.hpp), ddot,
-// sqdist, sqdist_fd, pq_adc, sq8_sqdist, sq8_dot. bench/bench_micro_kernels
+// Six members keep an SSE2 body: dot (sse2::dot, in kernels.hpp), ddot,
+// sqdist, sqdist_fd, sq8_sqdist, sq8_dot. bench/bench_micro_kernels
 // measures each against the scalar reference and CI requires >= 1.2x.
 // sse2_set() points the other members at the reference: GCC -O3 already
 // vectorizes the elementwise loops (axpy, scale, add, fill, add_fd,
-// scale_d) at the x86-64 baseline, and the double reductions (dot_fd,
+// scale_d) at the x86-64 baseline, the double reductions (dot_fd,
 // dot_dd, sqdist_dd) gained too little over the reference's packed
-// multiplies to keep a body.
+// multiplies to keep a body, and pq_adc's lane inserts ran at 0.8x the
+// reference's register lanes on a list call (so did AVX2's gathers).
 
 __attribute__((target("sse2"))) double sse2_ddot(const float* a, const float* b,
                                                  std::size_t n) {
@@ -200,35 +229,8 @@ __attribute__((target("sse2"))) double sse2_sqdist_fd(const float* a, const doub
 // shared adc_reduce8 tree, mul and add kept as separate rounded ops (never
 // fmadd) — so every variant is bit-identical to the scalar reference.
 // pq_lut has no SSE2 variant: the set points at scalar::pq_lut, whose
-// inner loop the compiler already vectorizes at this baseline.
-
-__attribute__((target("sse2"))) float sse2_pq_adc(const float* lut,
-                                                  const std::uint8_t* codes,
-                                                  std::size_t m) {
-  // SSE2 has no gather; the table lookups stay scalar but the 8-lane
-  // accumulation runs in two registers (lanes 0-3 / 4-7).
-  __m128 acc_lo = _mm_setzero_ps();
-  __m128 acc_hi = _mm_setzero_ps();
-  std::size_t s = 0;
-  for (; s + 8 <= m; s += 8) {
-    const float* base = lut + s * kPqLutStride;
-    acc_lo = _mm_add_ps(
-        acc_lo, _mm_setr_ps(base[codes[s + 0]],
-                            base[1 * kPqLutStride + codes[s + 1]],
-                            base[2 * kPqLutStride + codes[s + 2]],
-                            base[3 * kPqLutStride + codes[s + 3]]));
-    acc_hi = _mm_add_ps(
-        acc_hi, _mm_setr_ps(base[4 * kPqLutStride + codes[s + 4]],
-                            base[5 * kPqLutStride + codes[s + 5]],
-                            base[6 * kPqLutStride + codes[s + 6]],
-                            base[7 * kPqLutStride + codes[s + 7]]));
-  }
-  alignas(16) float lanes[8];
-  _mm_store_ps(lanes, acc_lo);
-  _mm_store_ps(lanes + 4, acc_hi);
-  for (; s < m; ++s) lanes[s & 7] += lut[s * kPqLutStride + codes[s]];
-  return scalar::adc_reduce8(lanes);
-}
+// inner loop the compiler already vectorizes at this baseline. pq_adc has
+// no variant at all (see kernels.hpp).
 
 /// Widens 8 packed code bytes at `codes` to two float vectors (lanes 0-3
 /// and 4-7). Exact: u8 -> i32 -> f32.
@@ -312,7 +314,7 @@ KernelSet sse2_set() noexcept {
                    &scalar::add,     &scalar::fill,    &sse2_ddot,
                    &sse2_sqdist,     &sse2_sqdist_fd,  &scalar::add_fd,
                    &scalar::scale_d, &scalar::dot_fd,  &scalar::dot_dd,
-                   &scalar::sqdist_dd, &sse2_pq_adc,   &scalar::pq_lut,
+                   &scalar::sqdist_dd, &scalar::pq_adc, &scalar::pq_lut,
                    &sse2_sq8_sqdist, &sse2_sq8_dot};
 }
 
@@ -453,33 +455,6 @@ __attribute__((target("avx2,fma"))) double avx2_sqdist_dd(const double* a,
   return sum;
 }
 
-__attribute__((target("avx2,fma"))) float avx2_pq_adc(const float* lut,
-                                                      const std::uint8_t* codes,
-                                                      std::size_t m) {
-  // Lane offsets put subspace s+j's LUT row at (s+j)*256; the gathered
-  // vector adds straight into lane j, preserving the i%8 lane mapping.
-  const __m256i lane_off = _mm256_setr_epi32(
-      0, 1 * static_cast<int>(kPqLutStride), 2 * static_cast<int>(kPqLutStride),
-      3 * static_cast<int>(kPqLutStride), 4 * static_cast<int>(kPqLutStride),
-      5 * static_cast<int>(kPqLutStride), 6 * static_cast<int>(kPqLutStride),
-      7 * static_cast<int>(kPqLutStride));
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t s = 0;
-  for (; s + 8 <= m; s += 8) {
-    const __m256i cidx = _mm256_cvtepu8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + s)));
-    const __m256i idx = _mm256_add_epi32(
-        _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(s * kPqLutStride)),
-                         lane_off),
-        cidx);
-    acc = _mm256_add_ps(acc, _mm256_i32gather_ps(lut, idx, 4));
-  }
-  alignas(32) float lanes[8];
-  _mm256_store_ps(lanes, acc);
-  for (; s < m; ++s) lanes[s & 7] += lut[s * kPqLutStride + codes[s]];
-  return scalar::adc_reduce8(lanes);
-}
-
 __attribute__((target("avx2,fma"))) void avx2_pq_lut(const float* q,
                                                      const float* book,
                                                      std::size_t d, float* lut) {
@@ -566,7 +541,7 @@ KernelSet avx2_set() noexcept {
   return KernelSet{&avx2::dot,   &avx2::axpy,     &avx2::scale, &avx2::add,
                    &avx2::fill,  &avx2_ddot,      &avx2_sqdist, &avx2_sqdist_fd,
                    &avx2_add_fd, &avx2_scale_d,   &avx2_dot_fd, &avx2_dot_dd,
-                   &avx2_sqdist_dd, &avx2_pq_adc, &avx2_pq_lut,
+                   &avx2_sqdist_dd, &scalar::pq_adc, &avx2_pq_lut,
                    &avx2_sq8_sqdist, &avx2_sq8_dot};
 }
 
@@ -684,9 +659,9 @@ double dot_dd(const double* a, const double* b, std::size_t n) noexcept {
 double sqdist_dd(const double* a, const double* b, std::size_t n) noexcept {
   return active().set.sqdist_dd(a, b, n);
 }
-float pq_adc(const float* lut, const std::uint8_t* codes,
-             std::size_t m) noexcept {
-  return active().set.pq_adc(lut, codes, m);
+void pq_adc(const float* lut, const std::uint8_t* codes, std::size_t m,
+            std::size_t count, float* out) noexcept {
+  active().set.pq_adc(lut, codes, m, count, out);
 }
 void pq_lut(const float* q, const float* book, std::size_t d,
             float* lut) noexcept {

@@ -9,7 +9,7 @@
 //   ISA      | guard                      | width
 //   ---------+----------------------------+---------------------------
 //   AVX2/FMA | __builtin_cpu_supports     | 8 floats / 4 doubles
-//   SSE2     | x86 baseline; a body only  | 4 floats / 2 doubles (7 of
+//   SSE2     | x86 baseline; a body only  | 4 floats / 2 doubles (6 of
 //            | where bench_micro_kernels  | the 17 members; the others
 //            | measures >= 1.2x scalar    | use the scalar reference)
 //   scalar   | always; all non-x86 builds | 1
@@ -77,7 +77,8 @@ struct KernelSet {
   double (*dot_fd)(const float*, const double*, std::size_t);
   double (*dot_dd)(const double*, const double*, std::size_t);
   double (*sqdist_dd)(const double*, const double*, std::size_t);
-  float (*pq_adc)(const float*, const std::uint8_t*, std::size_t);
+  void (*pq_adc)(const float*, const std::uint8_t*, std::size_t, std::size_t,
+                 float*);
   void (*pq_lut)(const float*, const float*, std::size_t, float*);
   float (*sq8_sqdist)(const float*, const std::uint8_t*, const float*,
                       const float*, std::size_t);
@@ -229,10 +230,16 @@ inline void scale_d(double* x, double alpha, std::size_t n) noexcept {
 // cross-variant contract. None of these touch Hogwild-raced memory, so
 // plain loads are TSan-clean.
 //
-/// ADC accumulation for PQ: sum over s < m of lut[s * kPqLutStride +
-/// codes[s]] — the per-query distance table gather over one packed code.
-[[nodiscard]] float pq_adc(const float* lut, const std::uint8_t* codes,
-                           std::size_t m) noexcept;
+/// ADC accumulation for PQ over a list of `count` packed codes of m bytes
+/// each (code i at codes + i * m): out[i] = sum over s < m of
+/// lut[s * kPqLutStride + code_i[s]], term s in lane s % 8, then
+/// adc_reduce8. One call scores one IVF posting list. Every variant
+/// points at this reference: the table lookups are scattered loads, and
+/// on a list call the SIMD bodies that were tried (AVX2 gathers, SSE2
+/// lane inserts) ran at 0.8x its eight register accumulators in
+/// bench_micro_kernels.
+void pq_adc(const float* lut, const std::uint8_t* codes, std::size_t m,
+            std::size_t count, float* out) noexcept;
 /// One subspace's ADC table for PQ: lut[c] = static_cast<float>(
 /// sqdist(q, codeword c, d)) for every c < kPqLutStride, summed in
 /// dimension order in double. `book` is dimension-major: d rows of
@@ -263,13 +270,16 @@ void pq_lut(const float* q, const float* book, std::size_t d,
 // Every translation unit that calls these bodies compiles with
 // -ffp-contract=off, like kernels.cpp (src/ and tests/ CMakeLists.txt
 // list those units): without it a copy may fuse a scalar tail's mul+add
-// into an FMA, and the linker keeps one copy of each inline body for the
-// whole binary, the KernelSet's pointers included.
+// into an FMA. The bodies and RowOps have internal linkage, so each unit
+// keeps its own copies and the linker cannot swap a unit's copy in for
+// the KernelSet's; the release lane checks that no libv2v_*.a exports one.
 
 // The fixed-form intrinsic macros (extract/shuffle) expand to C-style
 // casts; silence the cast lint for the variant bodies only.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wold-style-cast"
+
+namespace {
 
 namespace sse2 {
 
@@ -372,6 +382,8 @@ namespace avx2 {
 
 }  // namespace avx2
 
+}  // namespace
+
 #pragma GCC diagnostic pop
 
 #endif  // V2V_KERNELS_X86
@@ -423,9 +435,9 @@ inline void scale_d(double* x, double alpha, std::size_t n) noexcept {
                                       std::size_t n) noexcept {
   return scalar::sqdist_dd(a, b, n);
 }
-[[nodiscard]] inline float pq_adc(const float* lut, const std::uint8_t* codes,
-                                  std::size_t m) noexcept {
-  return scalar::pq_adc(lut, codes, m);
+inline void pq_adc(const float* lut, const std::uint8_t* codes, std::size_t m,
+                   std::size_t count, float* out) noexcept {
+  scalar::pq_adc(lut, codes, m, count, out);
 }
 inline void pq_lut(const float* q, const float* book, std::size_t d,
                    float* lut) noexcept {
@@ -461,8 +473,8 @@ void scale_d(double* x, double alpha, std::size_t n) noexcept;
 [[nodiscard]] double dot_fd(const float* a, const double* b, std::size_t n) noexcept;
 [[nodiscard]] double dot_dd(const double* a, const double* b, std::size_t n) noexcept;
 [[nodiscard]] double sqdist_dd(const double* a, const double* b, std::size_t n) noexcept;
-[[nodiscard]] float pq_adc(const float* lut, const std::uint8_t* codes,
-                           std::size_t m) noexcept;
+void pq_adc(const float* lut, const std::uint8_t* codes, std::size_t m,
+            std::size_t count, float* out) noexcept;
 void pq_lut(const float* q, const float* book, std::size_t d,
             float* lut) noexcept;
 [[nodiscard]] float sq8_sqdist(const float* q, const std::uint8_t* codes,
@@ -527,7 +539,10 @@ inline void prefetch_for_write(const void* p, std::size_t bytes,
 /// KernelSet points at (dot, add, scale, fill), plus axpy_pair, which
 /// stands for two of its axpy calls. The trainer instantiates its loop
 /// once per specialization (embed/trainer.cpp), and the parity suite
-/// checks each member against its KernelSet member bit for bit.
+/// checks each member against its KernelSet member bit for bit. Internal
+/// linkage, like the bodies it names.
+namespace {
+
 template <Isa isa>
 struct RowOps;
 
@@ -558,5 +573,7 @@ struct RowOps<Isa::kAvx2> {
 };
 
 #endif  // V2V_KERNELS_X86
+
+}  // namespace
 
 }  // namespace v2v::kernels

@@ -1,6 +1,7 @@
 #include "v2v/index/ivf_index.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -21,6 +22,9 @@ using store::checked_bytes;
 
 /// Rows sampled for quantizer training (deterministic under the seed).
 constexpr std::size_t kTrainSample = 20000;
+
+/// Distances in select_smallest's sample.
+constexpr std::size_t kCutSample = 256;
 
 /// Copies `src` into `dst`, L2-normalizing when `cosine` (zero rows stay
 /// zero, so their dot with any unit query is 0 and their cosine distance
@@ -49,6 +53,57 @@ void append_floats(std::vector<std::uint8_t>& out, const float* src,
                    std::size_t count) {
   const auto* bytes = reinterpret_cast<const std::uint8_t*>(src);
   out.insert(out.end(), bytes, bytes + count * sizeof(float));
+}
+
+/// Leaves the `keep` smallest of `cand` under neighbor_less in `out`, in no
+/// particular order; keep <= cand.size().
+///
+/// A cut spares nth_element the candidates it would discard: the distance
+/// of rank r in a strided sample of kCutSample is a threshold, r being the
+/// sample's expected count below the keep-th distance plus three standard
+/// deviations. If at least `keep` candidates lie at or below it, so does
+/// the keep-th smallest, and with it every candidate the selection keeps;
+/// nth_element then runs on those survivors alone, with the same result.
+/// Otherwise (rarely), or when the sample would not be smaller than the
+/// candidate set, it runs on every candidate.
+void select_smallest(std::span<const Neighbor> cand, std::size_t keep,
+                     std::vector<Neighbor>& out) {
+  const std::size_t n = cand.size();
+  if (n >= 2 * kCutSample) {
+    const double expected = static_cast<double>(keep) *
+                            static_cast<double>(kCutSample) / static_cast<double>(n);
+    const auto rank =
+        static_cast<std::size_t>(expected + 3.0 * std::sqrt(expected)) + 1;
+    if (rank < kCutSample) {
+      std::array<double, kCutSample> sample{};
+      for (std::size_t i = 0; i < kCutSample; ++i) {
+        sample[i] = cand[i * n / kCutSample].distance;
+      }
+      const auto nth = sample.begin() + static_cast<std::ptrdiff_t>(rank);
+      std::nth_element(sample.begin(), nth, sample.end());
+      const double threshold = *nth;
+      // Branch-free compaction: every candidate is written, and the cursor
+      // moves past it only when it survives.
+      thread_local std::vector<Neighbor> below;
+      if (below.size() < n) below.resize(n);
+      std::size_t survivors = 0;
+      for (const Neighbor& c : cand) {
+        below[survivors] = c;
+        survivors += c.distance <= threshold ? 1 : 0;
+      }
+      if (survivors >= keep) {
+        const auto first = below.begin();
+        std::nth_element(first, first + static_cast<std::ptrdiff_t>(keep),
+                         first + static_cast<std::ptrdiff_t>(survivors), neighbor_less);
+        out.assign(first, first + static_cast<std::ptrdiff_t>(keep));
+        return;
+      }
+    }
+  }
+  out.assign(cand.begin(), cand.end());
+  std::nth_element(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(keep),
+                   out.end(), neighbor_less);
+  out.resize(keep);
 }
 
 }  // namespace
@@ -357,11 +412,11 @@ void IvfIndex::derive_pq_cross(std::size_t threads) {
                             dots.data() + s * kStride, kStride);
             }
           }
-          for (std::size_t slot = list_offsets_[list];
-               slot < list_offsets_[list + 1]; ++slot) {
-            pq_cross_[slot] =
-                2.0f * kernels::pq_adc(dots.data(), codes_.data() + slot * m, m);
-          }
+          // Doubling is exact, so every variant of scale gives 2 * <c, r>.
+          float* const cross = pq_cross_.data() + list_offsets_[list];
+          kernels::pq_adc(dots.data(), codes_.data() + list_offsets_[list] * m, m,
+                          list_size(list), cross);
+          kernels::scale(cross, 2.0f, list_size(list));
         }
       });
 }
@@ -398,9 +453,20 @@ void IvfIndex::search_into(std::span<const float> query, std::size_t k,
                     coarse.begin() + static_cast<std::ptrdiff_t>(probes),
                     coarse.end(), neighbor_less);
 
-  thread_local std::vector<float> lut;
+  // Every probed list's candidates, in probe order; the widest list sizes
+  // kPq's per-list ADC buffer.
+  std::size_t total = 0;
+  std::size_t widest = 0;
+  for (std::size_t p = 0; p < probes; ++p) {
+    total += list_size(coarse[p].id);
+    widest = std::max(widest, list_size(coarse[p].id));
+  }
   thread_local std::vector<Neighbor> scored;
-  scored.clear();
+  scored.resize(total);  // every entry is written below
+  Neighbor* next = scored.data();
+
+  thread_local std::vector<float> lut;
+  thread_local std::vector<float> adc;
   // kPq: the query's one ADC table, ||q - r||² per subspace codeword, and
   // ||q||², which the split subtracts from each coarse distance.
   double query_norm = 0.0;
@@ -408,6 +474,7 @@ void IvfIndex::search_into(std::span<const float> query, std::size_t k,
     lut.resize(pq_.m * kernels::kPqLutStride);
     pq_.build_lut(q, lut.data());
     query_norm = kernels::ddot(q, q, dims);
+    if (adc.size() < widest) adc.resize(widest);
   }
   const float* const rows = float_codes_.data();
   const std::size_t row_stride = float_codes_.stride();
@@ -421,17 +488,18 @@ void IvfIndex::search_into(std::span<const float> query, std::size_t k,
 
   for (std::size_t p = 0; p < probes; ++p) {
     const std::size_t list = coarse[p].id;
+    const std::size_t begin = list_offsets_[list];
+    const std::size_t end = list_offsets_[list + 1];
     // The codec is picked once per list and the id source once per scan,
     // never per code; `score` maps a slot to its distance.
-    const auto scan = [&, begin = list_offsets_[list],
-                       end = list_offsets_[list + 1]](const auto& score) {
+    const auto scan = [&](const auto& score) {
       if (ids == nullptr) {
         for (std::size_t slot = begin; slot < end; ++slot) {
-          scored.push_back({static_cast<std::uint32_t>(slot), score(slot)});
+          *next++ = {static_cast<std::uint32_t>(slot), score(slot)};
         }
       } else {
         for (std::size_t slot = begin; slot < end; ++slot) {
-          scored.push_back({ids[slot], score(slot)});
+          *next++ = {ids[slot], score(slot)};
         }
       }
     };
@@ -453,16 +521,17 @@ void IvfIndex::search_into(std::span<const float> query, std::size_t k,
         });
         break;
       case IvfCodec::kPq: {
+        // One kernel call scores the whole list's ||q - r||² terms.
+        kernels::pq_adc(table, codes + begin * m, m, end - begin, adc.data());
         // ||q - c - r||² = (||q - c||² - ||q||²) + ||q - r||² + 2<c, r>.
         const double coarse_term = coarse[p].distance - query_norm;
         scan([&](std::size_t slot) {
-          const double adc =
-              coarse_term +
-              static_cast<double>(kernels::pq_adc(table, codes + slot * m, m)) +
-              static_cast<double>(cross[slot]);
+          const double estimate = coarse_term +
+                                  static_cast<double>(adc[slot - begin]) +
+                                  static_cast<double>(cross[slot]);
           // Unit-sphere rows: ||q - x||^2 = 2 (1 - cos), so halving the
           // ADC estimate lands on the cosine-distance scale.
-          return cosine ? 0.5 * adc : adc;
+          return cosine ? 0.5 * estimate : estimate;
         });
         break;
       }
@@ -471,17 +540,14 @@ void IvfIndex::search_into(std::span<const float> query, std::size_t k,
 
   const std::size_t depth = rerank_.load(std::memory_order_relaxed);
   const bool rerank = depth > 0 && floats_.rows() > 0;
-  const std::size_t keep =
-      std::min(rerank ? std::max(k, depth) : k, scored.size());
-  const auto keep_end = scored.begin() + static_cast<std::ptrdiff_t>(keep);
+  const std::size_t keep = std::min(rerank ? std::max(k, depth) : k, total);
   if (rerank) {
     // Rerank re-scores and re-sorts the candidates under the total order
     // (distance, id), so only the set of the top `keep` matters here.
-    std::nth_element(scored.begin(), keep_end, scored.end(), neighbor_less);
-    scored.resize(keep);
-    exact_rerank(floats_, metric_, query, scored, k);
-    out.assign(scored.begin(), scored.end());
+    select_smallest(scored, keep, out);
+    exact_rerank(floats_, metric_, query, out, k);
   } else {
+    const auto keep_end = scored.begin() + static_cast<std::ptrdiff_t>(keep);
     std::partial_sort(scored.begin(), keep_end, scored.end(), neighbor_less);
     out.assign(scored.begin(), keep_end);
   }

@@ -19,15 +19,15 @@
 //   kPq     the row's residual against its centroid c, product-quantized to
 //           m bytes by PqCodebooks; a code decoding to r scores ||q - c - r||²
 //           = (||q - c||² - ||q||²) + ||q - r||² + 2<c, r>: the probe's coarse
-//           distance, one ADC table per query over q (kernels::pq_adc per
-//           code) and one float per slot, derived when built or loaded.
+//           distance, one ADC table per query over q (one kernels::pq_adc call
+//           per list) and one float per slot, derived when built or loaded.
 //
 // Query: rank the centroids by squared distance to the normalized query,
 // scan the `nprobe` nearest lists — the codec is picked once per list,
 // never per code — and keep the top-k by (distance, id). nprobe == nlist
 // scans every code. With rerank depth R > 0 and float rows attached, the
-// top max(k, R) candidates are re-scored with FlatIndex's formulas
-// (exact_rerank), the memory-for-recall knob of quantized serving.
+// top max(k, R) candidates — picked by an exact sampled cut — are re-scored
+// with FlatIndex's formulas (exact_rerank), the memory-for-recall knob.
 //
 // Cosine: rows and queries are L2-normalized (zero vectors stay zero, at
 // distance 1 from everything, as in vec_math), so ||a - b||² = 2·(1 - cos)

@@ -216,17 +216,38 @@ AlignedVector<std::uint8_t> make_codes(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
+/// One code's ADC sum as the kernel contract defines it: term s into lane
+/// s % 8, in subspace order, then adc_reduce8.
+float adc_by_definition(const float* lut, const std::uint8_t* code, std::size_t m) {
+  float lanes[8] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
+  for (std::size_t s = 0; s < m; ++s) lanes[s % 8] += lut[s * kPqLutStride + code[s]];
+  return scalar::adc_reduce8(lanes);
+}
+
 TEST_F(KernelParity, PqAdcBitMatchesScalar) {
   // The quantized kernels promise bit-exactness (see kernels.hpp): every
   // variant uses the same 8-lane accumulation and the shared adc_reduce8
-  // reduction tree, so this is EXPECT_EQ, not EXPECT_NEAR.
-  for (const std::size_t m : kDims) {
+  // reduction tree, so this is EXPECT_EQ, not EXPECT_NEAR. The reference
+  // must match the contract's definition code by code, each variant the
+  // reference, and no call may write past out[count - 1].
+  constexpr float kSentinel = -7.0f;
+  for (std::size_t m = 1; m <= 16; ++m) {
     const auto lut = make_input(m * kPqLutStride, 61 + m);
-    const auto codes = make_codes(m, 67 + m);
-    const float ref = scalar::pq_adc(lut.data(), codes.data(), m);
-    for (const auto& [isa, set] : variants()) {
-      EXPECT_EQ(set.pq_adc(lut.data(), codes.data(), m), ref)
-          << isa_name(isa) << " m=" << m;
+    for (const std::size_t count : {0, 1, 7, 8, 9, 300}) {
+      const auto codes = make_codes(count * m, 67 + m + count);
+      std::vector<float> ref(count + 1, kSentinel);
+      scalar::pq_adc(lut.data(), codes.data(), m, count, ref.data());
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(ref[i], adc_by_definition(lut.data(), codes.data() + i * m, m))
+            << "m=" << m << " count=" << count << " i=" << i;
+      }
+      EXPECT_EQ(ref[count], kSentinel) << "m=" << m << " count=" << count;
+      for (const auto& [isa, set] : variants()) {
+        std::vector<float> got(count + 1, kSentinel);
+        set.pq_adc(lut.data(), codes.data(), m, count, got.data());
+        EXPECT_EQ(std::memcmp(got.data(), ref.data(), got.size() * sizeof(float)), 0)
+            << isa_name(isa) << " m=" << m << " count=" << count;
+      }
     }
   }
 }

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -189,6 +190,25 @@ TEST(QuantIndex, RerankedDistancesMatchOracleBitForBit) {
   }
 }
 
+/// Rerank depth `depth` at `k` must equal exact_rerank over the rerank-0
+/// top max(k, depth) list, ids and distance bits included.
+void expect_rerank_of_top_candidates(IvfIndex& index, const store::EmbeddingView& view,
+                                     DistanceMetric metric, std::span<const float> query,
+                                     std::size_t depth, std::size_t k,
+                                     const std::string& label) {
+  index.set_rerank(0);
+  auto expected = index.search(query, std::max(k, depth));
+  exact_rerank(view, metric, query, expected, k);
+  index.set_rerank(depth);
+  const auto got = index.search(query, k);
+  ASSERT_EQ(got.size(), expected.size()) << label;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, expected[i].id) << label << " i=" << i;
+    EXPECT_EQ(std::memcmp(&got[i].distance, &expected[i].distance, sizeof(double)), 0)
+        << label << " i=" << i;
+  }
+}
+
 TEST(QuantIndex, IvfPqRerankRescoresTheTopRAdcCandidates) {
   // Rerank depth R keeps the R best ADC candidates and re-scores them
   // exactly: the answer must equal exact_rerank over the rerank-0 top-R
@@ -207,20 +227,45 @@ TEST(QuantIndex, IvfPqRerankRescoresTheTopRAdcCandidates) {
     for (const std::size_t depth : {std::size_t{1}, std::size_t{7},
                                     std::size_t{40}, std::size_t{5000}}) {
       for (std::size_t q = 0; q < queries.rows(); ++q) {
-        const std::size_t k = 10;
-        ivfpq.set_rerank(0);
-        auto expected = ivfpq.search(queries.row(q), std::max(k, depth));
-        exact_rerank(view, metric, queries.row(q), expected, k);
-        ivfpq.set_rerank(depth);
-        const auto got = ivfpq.search(queries.row(q), k);
-        ASSERT_EQ(got.size(), expected.size()) << "depth=" << depth;
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          EXPECT_EQ(got[i].id, expected[i].id)
-              << "depth=" << depth << " q=" << q << " i=" << i;
-          EXPECT_EQ(std::memcmp(&got[i].distance, &expected[i].distance,
-                                sizeof(double)),
-                    0)
-              << "depth=" << depth << " q=" << q << " i=" << i;
+        expect_rerank_of_top_candidates(
+            ivfpq, view, metric, queries.row(q), depth, 10,
+            "depth=" + std::to_string(depth) + " q=" + std::to_string(q));
+      }
+    }
+  }
+
+  // Ties at the edge of the kept set: every row four times over. Copies
+  // share a list and a code, so their pre-rerank and rerank distances tie
+  // and only the id orders them; kept sets of 7, 10, 41 and 130 end inside
+  // a tie group. The selection before rerank serves every codec, so all
+  // three run, and k = depth puts the whole kept set in the answer.
+  const MatrixF base = planted_clusters(400, 16, 8, 31);
+  MatrixF copies(4 * base.rows(), base.cols());
+  for (std::size_t r = 0; r < copies.rows(); ++r) {
+    const auto src = base.row(r / 4);
+    std::copy(src.begin(), src.end(), copies.row(r).begin());
+  }
+  const MatrixF tie_queries = sample_queries(copies, 12, 32);
+  const auto copies_view = store::EmbeddingView::of(copies);
+  for (const auto metric : {DistanceMetric::kCosine, DistanceMetric::kEuclidean}) {
+    for (const IvfCodec codec : {IvfCodec::kFloat, IvfCodec::kSq8, IvfCodec::kPq}) {
+      IvfConfig config;
+      config.codec = codec;
+      config.nlist = codec == IvfCodec::kSq8 ? 1 : 12;
+      config.nprobe = 6;
+      config.m = 4;
+      config.seed = 33;
+      IvfIndex index(copies_view, metric, config);
+      for (const std::size_t depth : {std::size_t{7}, std::size_t{41}, std::size_t{130}}) {
+        for (const std::size_t k : {std::size_t{10}, depth}) {
+          for (std::size_t q = 0; q < tie_queries.rows(); ++q) {
+            expect_rerank_of_top_candidates(
+                index, copies_view, metric, tie_queries.row(q), depth, k,
+                "ties codec=" + std::to_string(static_cast<int>(codec)) +
+                    " metric=" + std::to_string(static_cast<int>(metric)) +
+                    " depth=" + std::to_string(depth) + " k=" + std::to_string(k) +
+                    " q=" + std::to_string(q));
+          }
         }
       }
     }
@@ -284,8 +329,9 @@ TEST(QuantIndex, IvfPqAdcMatchesResidualTable) {
                     dims * sizeof(float));
         for (std::size_t j = 0; j < dims; ++j) residual[j] = q[j] - c[j];
         pq.build_lut(residual.data(), lut.data());
-        const double adc =
-            kernels::pq_adc(lut.data(), codes.data() + slot * pq.m, pq.m);
+        float estimate = 0.0f;
+        kernels::pq_adc(lut.data(), codes.data() + slot * pq.m, pq.m, 1, &estimate);
+        const double adc = estimate;
         const double scale = kernels::ddot(q.data(), q.data(), dims) +
                              kernels::ddot(c.data(), c.data(), dims);
         EXPECT_NEAR(n.distance, cosine ? 0.5 * adc : adc, 1e-5 * scale)
