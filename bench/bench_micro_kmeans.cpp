@@ -3,7 +3,10 @@
 // kNaive oracle against the default kHamerly engine on the same clustered
 // workload, with bit-exact SSE/assignment agreement asserted as part of
 // the measurement (a baseline whose "speedup" comes from computing a
-// different answer is worthless).
+// different answer is worthless). The baseline also times the worker
+// pool's dispatch, which k-means pays twice per Lloyd iteration:
+// pool.dispatch_p50_us is the median of 2,000 four-thread
+// parallel_for_dynamic calls on a trivial body.
 //
 // Environment knobs (used by the CI smoke lane):
 //   V2V_KMEANS_BENCH_ONLY=1   skip the google-benchmark loops, just write
@@ -14,15 +17,19 @@
 //   V2V_BENCH_OUT=dir         where the JSON lands (default bench_out/)
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "micro_bench_main.hpp"
 #include "v2v/common/kernels.hpp"
 #include "v2v/common/rng.hpp"
+#include "v2v/common/thread_pool.hpp"
 #include "v2v/common/timer.hpp"
 #include "v2v/ml/kmeans.hpp"
 #include "v2v/obs/export.hpp"
@@ -118,6 +125,23 @@ std::size_t env_size(const char* name, std::size_t fallback) {
   return fallback;
 }
 
+/// Median microseconds of one 4-thread parallel_for_dynamic call over 64
+/// one-item chunks whose body does nothing, over 2,000 calls.
+double pool_dispatch_p50_us() {
+  constexpr std::size_t kCalls = 2000;
+  std::vector<double> us(kCalls);
+  for (double& call_us : us) {
+    const WallTimer timer;
+    parallel_for_dynamic(4, 64, 1,
+                         [](std::size_t, std::size_t chunk, std::size_t, std::size_t) {
+                           benchmark::DoNotOptimize(chunk);
+                         });
+    call_us = timer.seconds() * 1e6;
+  }
+  std::nth_element(us.begin(), us.begin() + kCalls / 2, us.end());
+  return us[kCalls / 2];
+}
+
 /// The acceptance-gate baseline: one timed kmeans() per engine on the
 /// same points/seed, identical-answer check inline, speedup reported as
 /// naive_seconds / fast_seconds.
@@ -156,6 +180,7 @@ void write_kmeans_baseline() {
   const double speedup = fast_seconds > 0.0 ? naive_seconds / fast_seconds : 0.0;
   const double pruned =
       fast_metrics.gauge("kmeans.pruned_fraction_overall").value();
+  const double dispatch_us = pool_dispatch_p50_us();
 
   obs::MetricsRegistry baseline;
   baseline.gauge("kmeans_bench.rows").set(static_cast<double>(n));
@@ -171,6 +196,9 @@ void write_kmeans_baseline() {
   baseline.gauge("kmeans_bench.sse_delta").set(sse_delta);
   baseline.gauge("kmeans_bench.assignments_equal").set(assignments_equal ? 1.0 : 0.0);
   baseline.gauge("kmeans_bench.pruned_fraction").set(pruned);
+  baseline.gauge("pool.dispatch_p50_us").set(dispatch_us);
+  baseline.gauge("pool.hw_threads")
+      .set(static_cast<double>(std::thread::hardware_concurrency()));
   baseline.counter(std::string("isa.") + kernels::active_isa_name()).add(1);
 
   const auto dir = bench_out_dir();
@@ -179,10 +207,11 @@ void write_kmeans_baseline() {
   obs::write_json_file(baseline, path);
   std::printf(
       "baseline: naive %.2fs, hamerly %.2fs -> %.1fx "
-      "(pruned %.2f, sse_delta %.1e, assignments %s, isa=%s) -> %s\n",
+      "(pruned %.2f, sse_delta %.1e, assignments %s, isa=%s), "
+      "pool dispatch p50 %.1f us -> %s\n",
       naive_seconds, fast_seconds, speedup, pruned, sse_delta,
       assignments_equal ? "equal" : "DIFFER", kernels::active_isa_name(),
-      path.c_str());
+      dispatch_us, path.c_str());
 }
 
 [[nodiscard]] bool baseline_only() {

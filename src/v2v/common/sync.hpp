@@ -39,7 +39,6 @@
 //   while (!stopping_ && tasks_.empty()) task_ready_.wait(lock);
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -90,7 +89,7 @@ inline constexpr std::uint32_t kServerStop = 10;         ///< serve::Server stop
 inline constexpr std::uint32_t kServerConnections = 20;  ///< serve::Server connections_mutex_
 inline constexpr std::uint32_t kBatchQueue = 30;         ///< serve::BatchQueue mutex_
 inline constexpr std::uint32_t kBatchQueueJoin = 34;     ///< serve::BatchQueue join_mutex_
-inline constexpr std::uint32_t kThreadPool = 40;         ///< ThreadPool mutex_
+inline constexpr std::uint32_t kThreadPool = 40;         ///< worker pool mutex_
 inline constexpr std::uint32_t kDynamicGraph = 50;       ///< dynamic::DynamicGraph mutex_
 inline constexpr std::uint32_t kMetricsRegistry = 60;    ///< obs::MetricsRegistry mutex_
 inline constexpr std::uint32_t kMetricsSeries = 64;      ///< obs::Series mutex_
@@ -257,29 +256,6 @@ class CondVar {
     sync_detail::lockdep_acquire(mutex.lockdep_id(), mutex.name(), mutex.rank(),
                                  /*ordered=*/true);
 #endif
-  }
-
-  template <typename Clock, typename Duration>
-  std::cv_status wait_until(UniqueLock& lock,
-                            const std::chrono::time_point<Clock, Duration>& when) {
-    Mutex& mutex = *lock.mutex();
-#if V2V_LOCKDEP_ENABLED
-    sync_detail::lockdep_release(mutex.lockdep_id());
-#endif
-    std::unique_lock<std::mutex> native(mutex.native(), std::adopt_lock);
-    const std::cv_status status = cv_.wait_until(native, when);
-    native.release();
-#if V2V_LOCKDEP_ENABLED
-    sync_detail::lockdep_acquire(mutex.lockdep_id(), mutex.name(), mutex.rank(),
-                                 /*ordered=*/true);
-#endif
-    return status;
-  }
-
-  template <typename Rep, typename Period>
-  std::cv_status wait_for(UniqueLock& lock,
-                          const std::chrono::duration<Rep, Period>& timeout) {
-    return wait_until(lock, std::chrono::steady_clock::now() + timeout);
   }
 
  private:

@@ -46,7 +46,6 @@ void save_config(const V2VConfig& config, std::ostream& out) {
   out << "walk.temporal = " << (config.walk.temporal ? 1 : 0) << '\n';
   out << "walk.time_window = " << config.walk.time_window << '\n';
   out << "walk.threads = " << config.walk.threads << '\n';
-  out << "walk.grain = " << config.walk.grain << '\n';
   out << "walk.streaming = " << (config.walk.streaming ? 1 : 0) << '\n';
   out << "train.dimensions = " << config.train.dimensions << '\n';
   out << "train.window = " << config.train.window << '\n';
@@ -111,7 +110,6 @@ V2VConfig load_config(std::istream& in) {
       {"walk.time_window",
        [&](std::string_view v) { as_double(v, config.walk.time_window); }},
       {"walk.threads", [&](std::string_view v) { as_size(v, config.walk.threads); }},
-      {"walk.grain", [&](std::string_view v) { as_size(v, config.walk.grain); }},
       {"walk.streaming",
        [&](std::string_view v) { config.walk.streaming = v == "1" || v == "true"; }},
       {"train.dimensions",

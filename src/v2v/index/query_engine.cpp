@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "v2v/common/kernels.hpp"
+#include "v2v/common/thread_pool.hpp"
 #include "v2v/common/timer.hpp"
 #include "v2v/obs/metrics.hpp"
 
@@ -16,16 +17,13 @@ constexpr obs::HistogramConfig kLatencyBuckets{0.0, 20000.0, 256};
 }  // namespace
 
 QueryEngine::QueryEngine(const VectorIndex& index, QueryEngineConfig config)
-    : index_(index), metrics_(config.metrics) {
+    : index_(index),
+      metrics_(config.metrics),
+      threads_(std::max<std::size_t>(1, config.threads)) {
   if (metrics_ != nullptr) {
     queries_ = &metrics_->counter("query.queries");
     latency_us_ = &metrics_->histogram("query.latency_us", kLatencyBuckets);
   }
-  if (config.threads > 1) pool_ = std::make_unique<ThreadPool>(config.threads);
-}
-
-std::size_t QueryEngine::threads() const noexcept {
-  return pool_ ? pool_->size() : 1;
 }
 
 void QueryEngine::query_into(std::span<const float> q, std::size_t k,
@@ -49,14 +47,11 @@ template <typename RowAt>
 std::vector<std::vector<Neighbor>> QueryEngine::run_batch(
     std::size_t count, std::size_t k, const RowAt& row_at) const {
   std::vector<std::vector<Neighbor>> out(count);
-  if (count == 0) return out;
-  if (pool_ == nullptr) {
-    for (std::size_t i = 0; i < count; ++i) query_into(row_at(i), k, out[i]);
-    return out;
-  }
-  pool_->parallel_for(count, [&](std::size_t, std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) query_into(row_at(i), k, out[i]);
-  });
+  parallel_for_dynamic(
+      threads_, count, 0,
+      [&](std::size_t, std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) query_into(row_at(i), k, out[i]);
+      });
   return out;
 }
 
@@ -75,17 +70,13 @@ std::vector<std::vector<Neighbor>> QueryEngine::query_rows(
 
 void QueryEngine::warmup() const {
   const WallTimer timer;
-  const std::size_t n = index_.size();
   // Accumulating warm_rows' data-dependent result into an atomic member
   // keeps the row reads observable so they cannot be optimized away.
-  if (pool_ != nullptr) {
-    pool_->parallel_for(n, [&](std::size_t, std::size_t begin, std::size_t end) {
-      warmup_sink_.fetch_add(index_.warm_rows(begin, end),
-                             std::memory_order_relaxed);
-    });
-  } else {
-    warmup_sink_.fetch_add(index_.warm_rows(0, n), std::memory_order_relaxed);
-  }
+  parallel_for_dynamic(
+      threads_, index_.size(), 0,
+      [&](std::size_t, std::size_t, std::size_t begin, std::size_t end) {
+        warmup_sink_.fetch_add(index_.warm_rows(begin, end), std::memory_order_relaxed);
+      });
   if (metrics_ != nullptr) {
     metrics_->gauge("query.warmup_seconds").set(timer.seconds());
   }

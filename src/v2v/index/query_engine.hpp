@@ -1,13 +1,13 @@
 // Concurrent batch query front-end over any VectorIndex.
 //
 // A QueryEngine owns the serving policy — single queries run inline on the
-// caller's thread; batches fan out over an internal thread pool when
-// `threads > 1`, the caller running the first chunk itself so a one-row
-// batch never leaves the calling thread — and the serving telemetry:
-// every query bumps the `query.queries` counter and records wall latency
-// into the `query.latency_us` histogram (p50/p99 readable from the
-// snapshot), and `observe_recall` publishes a recall-vs-oracle gauge when
-// ground truth from a FlatIndex is supplied.
+// caller's thread; batches fan out over the process-wide worker pool
+// (parallel_for_dynamic) at up to `threads` workers, the caller being one
+// of them, so a one-row batch never leaves the calling thread — and the
+// serving telemetry: every query bumps the `query.queries` counter and
+// records wall latency into the `query.latency_us` histogram (p50/p99
+// readable from the snapshot), and `observe_recall` publishes a
+// recall-vs-oracle gauge when ground truth from a FlatIndex is supplied.
 //
 // Batch semantics (what serve/'s batching admission queue builds on):
 //   - Each row of a batch is searched independently — query_batch(Q, k)[i]
@@ -28,25 +28,22 @@
 // Thread-safety: all query methods are const and safe to call
 // concurrently (VectorIndex::search_into is required to be), including
 // concurrently with warmup(). Distinct batches submitted concurrently
-// share the one internal pool; their rows interleave freely without
+// share the one process-wide pool; their rows interleave freely without
 // affecting either batch's results or ordering.
 //
-// The engine itself is lock-free by construction — no mutex, no mutable
-// state beyond a relaxed atomic sink (common/relaxed.hpp idiom); all of
-// its locking lives inside the capability-annotated ThreadPool
-// (common/sync.hpp), whose analysis and lockdep ranks it inherits. Keep
-// it that way: any new shared mutable state belongs behind a v2v::Mutex
-// with a rank from v2v::lock_rank.
+// The engine is lock-free by construction (a relaxed atomic sink is its
+// only mutable state); its one lock is the pool mutex inside
+// parallel_for_dynamic (lock_rank::kThreadPool), so no batch may start
+// under a mutex ranked above it. New shared mutable state belongs behind
+// a v2v::Mutex with a rank from v2v::lock_rank.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "v2v/common/matrix.hpp"
-#include "v2v/common/thread_pool.hpp"
 #include "v2v/index/vector_index.hpp"
 
 namespace v2v::obs {
@@ -58,8 +55,7 @@ class MetricsRegistry;
 namespace v2v::index {
 
 struct QueryEngineConfig {
-  /// Worker threads for batch queries; <= 1 runs batches inline (no pool
-  /// is created, so a default engine is cheap).
+  /// Workers for batch queries and warmup(); <= 1 runs them inline.
   std::size_t threads = 1;
   /// Optional observability sink for the serving metrics above.
   obs::MetricsRegistry* metrics = nullptr;
@@ -74,7 +70,7 @@ class QueryEngine {
   QueryEngine& operator=(const QueryEngine&) = delete;
 
   [[nodiscard]] const VectorIndex& index() const noexcept { return index_; }
-  [[nodiscard]] std::size_t threads() const noexcept;
+  [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
 
   /// Top-k for one query, inline on the calling thread.
   [[nodiscard]] std::vector<Neighbor> query(std::span<const float> q,
@@ -83,7 +79,7 @@ class QueryEngine {
                   std::vector<Neighbor>& out) const;
 
   /// Top-k for every row of `queries`, fanned out over the pool (the
-  /// calling thread runs the first chunk).
+  /// calling thread is one of the workers).
   [[nodiscard]] std::vector<std::vector<Neighbor>> query_batch(
       const MatrixF& queries, std::size_t k) const;
   /// Same over selected rows of a larger matrix (crossval's access shape).
@@ -111,7 +107,7 @@ class QueryEngine {
   obs::MetricsRegistry* metrics_;
   obs::Counter* queries_ = nullptr;        ///< cached; may stay null
   obs::Histogram* latency_us_ = nullptr;   ///< cached; may stay null
-  std::unique_ptr<ThreadPool> pool_;       ///< null when threads <= 1
+  std::size_t threads_;
   mutable std::atomic<double> warmup_sink_{0.0};  ///< defeats dead-code elim
 };
 

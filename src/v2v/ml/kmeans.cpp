@@ -528,73 +528,60 @@ KMeansResult kmeans(const MatrixF& points, const KMeansConfig& config) {
     return outcome;
   };
 
-  LloydOutcome best;
-  bool have_best = false;
+  // Restarts run as chunks of one: on `threads` workers with serial Lloyd
+  // runs, or in order on this thread with point-parallel ones. Each worker
+  // tallies its runs and keeps the least (SSE, restart index) it saw — the
+  // serial loop's pick — and the tallies reduce the same way, so every
+  // schedule selects the serial winner.
+  constexpr std::size_t kNoRestart = std::numeric_limits<std::size_t>::max();
+  struct Tally {
+    LloydOutcome best;
+    std::size_t best_restart = kNoRestart;
+    std::uint64_t evals = 0;
+    std::uint64_t pruned = 0;
+    std::uint64_t points = 0;
+    double assign_seconds = 0.0;
+    double update_seconds = 0.0;
+  };
+  const auto beats = [](double sse, std::size_t r, const Tally& t) {
+    return t.best_restart == kNoRestart || sse < t.best.sse ||
+           (sse == t.best.sse && r < t.best_restart);
+  };
+  std::vector<Tally> tallies(restart_parallel ? threads : 1);
+  parallel_for_dynamic(
+      tallies.size(), config.restarts, 1,
+      [&](std::size_t worker, std::size_t r, std::size_t, std::size_t) {
+        LloydOutcome outcome = run_restart(r, restart_parallel ? 1 : threads);
+        Tally& t = tallies[worker];
+        t.evals += outcome.dist_evals;
+        t.pruned += outcome.pruned_points;
+        t.points += outcome.assign_points;
+        t.assign_seconds += outcome.assign_seconds;
+        t.update_seconds += outcome.update_seconds;
+        if (beats(outcome.sse, r, t)) {
+          t.best = std::move(outcome);
+          t.best_restart = r;
+        }
+      });
+  Tally* winner = nullptr;
   std::uint64_t total_evals = 0;
   std::uint64_t total_pruned = 0;
   std::uint64_t total_points = 0;
   double assign_seconds = 0.0;
   double update_seconds = 0.0;
-
-  if (restart_parallel) {
-    std::vector<LloydOutcome> best_per_thread(threads);
-    // One byte per worker, NOT std::vector<bool>: the bit-packed
-    // specialization would make concurrent writes to distinct chunks race
-    // on the shared underlying word (a real data race, caught by TSan).
-    std::vector<std::uint8_t> has_result(threads, 0);
-    std::vector<std::uint64_t> evals_pc(threads, 0);
-    std::vector<std::uint64_t> pruned_pc(threads, 0);
-    std::vector<std::uint64_t> points_pc(threads, 0);
-    std::vector<double> asec_pc(threads, 0.0);
-    std::vector<double> usec_pc(threads, 0.0);
-    parallel_for_once(threads, config.restarts,
-                      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-                        for (std::size_t r = begin; r < end; ++r) {
-                          LloydOutcome outcome = run_restart(r, 1);
-                          evals_pc[chunk] += outcome.dist_evals;
-                          pruned_pc[chunk] += outcome.pruned_points;
-                          points_pc[chunk] += outcome.assign_points;
-                          asec_pc[chunk] += outcome.assign_seconds;
-                          usec_pc[chunk] += outcome.update_seconds;
-                          if (has_result[chunk] == 0 ||
-                              outcome.sse < best_per_thread[chunk].sse) {
-                            best_per_thread[chunk] = std::move(outcome);
-                            has_result[chunk] = 1;
-                          }
-                        }
-                      });
-    std::size_t winner = 0;
-    for (std::size_t t = 0; t < threads; ++t) {
-      total_evals += evals_pc[t];
-      total_pruned += pruned_pc[t];
-      total_points += points_pc[t];
-      assign_seconds += asec_pc[t];
-      update_seconds += usec_pc[t];
-      if (t == 0 || has_result[t] == 0) continue;
-      if (has_result[winner] == 0 ||
-          best_per_thread[t].sse < best_per_thread[winner].sse) {
-        winner = t;
-      }
-    }
-    if (has_result[winner] != 0) {
-      best = std::move(best_per_thread[winner]);
-      have_best = true;
-    }
-  } else {
-    for (std::size_t r = 0; r < config.restarts; ++r) {
-      LloydOutcome outcome = run_restart(r, threads);
-      total_evals += outcome.dist_evals;
-      total_pruned += outcome.pruned_points;
-      total_points += outcome.assign_points;
-      assign_seconds += outcome.assign_seconds;
-      update_seconds += outcome.update_seconds;
-      if (!have_best || outcome.sse < best.sse) {
-        best = std::move(outcome);
-        have_best = true;
-      }
+  for (Tally& t : tallies) {
+    total_evals += t.evals;
+    total_pruned += t.pruned;
+    total_points += t.points;
+    assign_seconds += t.assign_seconds;
+    update_seconds += t.update_seconds;
+    if (t.best_restart != kNoRestart &&
+        (winner == nullptr || beats(t.best.sse, t.best_restart, *winner))) {
+      winner = &t;
     }
   }
-  V2V_CHECK(have_best, "kmeans: no restart produced a result");
+  V2V_CHECK(winner != nullptr, "kmeans: no restart produced a result");
+  LloydOutcome& best = winner->best;
 
   KMeansResult result;
   result.assignment = std::move(best.assignment);

@@ -77,7 +77,6 @@ Corpus generate_corpus_node2vec(const graph::Graph& g, const Node2VecConfig& con
   layout.walks_per_vertex = config.walks_per_vertex;
   layout.walk_length = config.walk_length;
   layout.threads = config.threads;
-  layout.grain = config.grain;
   const CorpusDriver driver(g.vertex_count(), layout, seed);
   return driver.collect(std::bind_front(&Node2VecWalker::walk_from, &walker));
 }

@@ -25,8 +25,6 @@ struct Node2VecConfig {
   double p = 1.0;  ///< return parameter (larger = less backtracking)
   double q = 1.0;  ///< in-out parameter (smaller = more exploration)
   std::size_t threads = 1;
-  /// Start vertices per dynamic work-queue chunk; 0 = auto.
-  std::size_t grain = 0;
 };
 
 class Node2VecWalker {

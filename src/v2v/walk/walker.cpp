@@ -71,7 +71,7 @@ Walker::Walker(const graph::Graph& g, const WalkConfig& config)
     const WallTimer alias_timer;
     const std::size_t threads = std::max<std::size_t>(1, config_.threads);
     parallel_for_dynamic(
-        threads, g.vertex_count(), config_.grain,
+        threads, g.vertex_count(), 0,
         [&](std::size_t, std::size_t, std::size_t begin, std::size_t end) {
           std::vector<double> weights;  // per-worker scratch
           for (std::size_t v = begin; v < end; ++v) {
@@ -171,7 +171,7 @@ CorpusDriver::CorpusDriver(std::size_t vertices, const WalkConfig& config,
     : vertices_(vertices),
       config_(config),
       threads_(std::max<std::size_t>(1, config.threads)),
-      grain_(config.grain != 0 ? config.grain : default_grain(vertices, threads_)),
+      grain_(default_grain(vertices, threads_)),
       chunks_(chunk_count(vertices, grain_)),
       root_(seed) {}
 

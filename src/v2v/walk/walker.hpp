@@ -49,11 +49,8 @@ struct WalkConfig {
   /// timestamps; <= 0 disables the window (default).
   double time_window = 0.0;
   /// Worker threads for corpus generation (count; default 1 = serial).
+  /// The corpus does not depend on it (see CorpusDriver).
   std::size_t threads = 1;
-  /// Start vertices per work-queue chunk for dynamic scheduling; 0 (the
-  /// default) picks default_grain(vertex_count, threads). The corpus
-  /// depends on neither this nor the thread count (see CorpusDriver).
-  std::size_t grain = 0;
   /// Optional observability sink: generate_corpus and StreamedCorpus's
   /// counting pass record walk/step throughput counters, per-shard
   /// balance, and a "walk" stage span into it. Null (default) disables
@@ -114,14 +111,14 @@ struct WalkChunk {
 /// The one place the corpus layout lives. Every corpus producer runs on a
 /// CorpusDriver — generate_corpus, generate_corpus_node2vec and
 /// StreamedCorpus — which fixes what makes a corpus a pure function of
-/// (graph, walk parameters, seed), whatever the thread count, grain or
+/// (graph, walk parameters, seed), whatever the thread count or
 /// schedule:
 ///   - the RNG: start vertex v draws its walks_per_vertex walks, in order,
 ///     from the one stream root.fork(v);
 ///   - the order: walk i is start vertex i / walks_per_vertex's walk
 ///     number i % walks_per_vertex;
 ///   - the start-vertex split the producers run on: chunk c covers start
-///     vertices [c*grain, min((c+1)*grain, n)), grain 0 meaning
+///     vertices [c*grain, min((c+1)*grain, n)) with grain
 ///     default_grain(n, threads), run on parallel_for_dynamic; the RAM
 ///     corpus keeps one shard per chunk, merged in chunk order.
 /// A producer keeps only what it does with a walk.
@@ -135,12 +132,11 @@ class CorpusDriver {
   using ChunkFn = std::function<std::size_t(const WalkChunk&)>;
 
   /// Lays out `vertices` start vertices by config's walks_per_vertex,
-  /// walk_length, threads and grain, with streams rooted at `seed`. The
+  /// walk_length and threads, with streams rooted at `seed`. The
   /// walk telemetry goes to config.metrics when set; its walk.seconds
   /// counts from here, so construct the driver before the walker.
   CorpusDriver(std::size_t vertices, const WalkConfig& config, std::uint64_t seed);
 
-  [[nodiscard]] std::size_t grain() const noexcept { return grain_; }
   [[nodiscard]] std::size_t chunks() const noexcept { return chunks_; }
   /// Walks in the corpus: vertices * walks_per_vertex.
   [[nodiscard]] std::size_t walk_count() const noexcept {

@@ -59,15 +59,6 @@ TEST(Sync, CondVarHandsOffThroughExplicitLoop) {
   EXPECT_EQ(observed, 42);
 }
 
-TEST(Sync, WaitForTimesOutWithoutNotify) {
-  Mutex mutex;
-  CondVar cv;
-  UniqueLock lock(mutex);
-  const auto status = cv.wait_for(lock, std::chrono::milliseconds(5));
-  EXPECT_EQ(status, std::cv_status::timeout);
-  EXPECT_TRUE(lock.owns_lock());
-}
-
 TEST(Sync, UniqueLockRelockCycle) {
   Mutex mutex;
   UniqueLock lock(mutex);

@@ -7,7 +7,6 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -16,146 +15,106 @@
 namespace v2v {
 namespace {
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, SizeMatchesRequest) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.size(), 3u);
-}
-
-TEST(ThreadPool, ZeroThreadsUsesHardwareConcurrency) {
-  ThreadPool pool(0);
-  EXPECT_GE(pool.size(), 1u);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](std::size_t, std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForChunksArePartition) {
-  ThreadPool pool(3);
-  std::vector<std::pair<std::size_t, std::size_t>> ranges(3, {0, 0});
-  pool.parallel_for(10, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-    ranges[chunk] = {begin, end};
-  });
-  std::size_t total = 0;
-  for (const auto& [b, e] : ranges) total += e - b;
-  EXPECT_EQ(total, 10u);
-}
-
-TEST(ThreadPool, ParallelForZeroCountIsNoop) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.parallel_for(0, [&](std::size_t, std::size_t, std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ThreadPool, ParallelForFewerItemsThanThreads) {
-  ThreadPool pool(8);
-  std::atomic<int> calls{0};
-  pool.parallel_for(3, [&](std::size_t, std::size_t begin, std::size_t end) {
-    EXPECT_EQ(end - begin, 1u);
-    calls.fetch_add(1);
-  });
-  EXPECT_EQ(calls.load(), 3);
-}
-
-TEST(ThreadPool, ParallelForRunsChunkZeroOnCaller) {
-  ThreadPool pool(4);
+// The pool behind parallel_for_dynamic: who runs a loop's workers, and
+// what a throwing chunk or a busy pool thread does to a call.
+TEST(ThreadPool, CallerIsWorkerZero) {
+  const auto caller = std::this_thread::get_id();
   for (const std::size_t count : {1u, 3u, 100u}) {
-    std::vector<std::thread::id> ran(std::min<std::size_t>(count, pool.size()));
-    pool.parallel_for(count, [&](std::size_t chunk, std::size_t, std::size_t) {
-      ran[chunk] = std::this_thread::get_id();
-    });
-    EXPECT_EQ(ran[0], std::this_thread::get_id()) << "count " << count;
-    for (std::size_t c = 1; c < ran.size(); ++c) {
-      EXPECT_NE(ran[c], std::this_thread::get_id()) << "chunk " << c;
+    std::vector<std::size_t> worker_of(count);
+    std::vector<std::thread::id> ran_on(count);
+    parallel_for_dynamic(4, count, 1,
+                         [&](std::size_t worker, std::size_t chunk, std::size_t,
+                             std::size_t) {
+                           worker_of[chunk] = worker;
+                           ran_on[chunk] = std::this_thread::get_id();
+                         });
+    for (std::size_t c = 0; c < count; ++c) {
+      EXPECT_EQ(worker_of[c] == 0, ran_on[c] == caller)
+          << "count " << count << ", chunk " << c;
     }
   }
 }
 
+TEST(ThreadPool, ParallelForFewerItemsThanThreads) {
+  // The default grain gives each of the 3 items its own chunk.
+  std::atomic<int> calls{0};
+  parallel_for_dynamic(8, 3, 0,
+                       [&](std::size_t worker, std::size_t, std::size_t begin,
+                           std::size_t end) {
+                         EXPECT_LT(worker, 3u);
+                         EXPECT_EQ(end - begin, 1u);
+                         calls.fetch_add(1);
+                       });
+  EXPECT_EQ(calls.load(), 3);
+}
+
 TEST(ThreadPool, ParallelForIgnoresUnrelatedTasks) {
-  ThreadPool pool(4);
+  // A 4-thread loop whose chunks all block on a gate holds its caller and
+  // three pool threads; a second loop must finish without them.
   std::promise<void> release;
   const std::shared_future<void> gate = release.get_future().share();
-  pool.submit([gate] { gate.wait(); });  // holds one worker until released
+  std::atomic<int> blocked{0};
+  auto gated = std::async(std::launch::async, [&] {
+    parallel_for_dynamic(4, 4, 1, [&](std::size_t, std::size_t, std::size_t, std::size_t) {
+      blocked.fetch_add(1);
+      gate.wait();
+    });
+  });
+  // The gated caller blocks in its first chunk, so the other three can
+  // only start on pool threads.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (blocked.load() < 4 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(blocked.load(), 4);
 
-  // Three free workers and the caller are plenty for three chunks; the
-  // call must not wait for the gated task.
   std::atomic<int> chunks{0};
   auto done = std::async(std::launch::async, [&] {
-    pool.parallel_for(3, [&](std::size_t, std::size_t, std::size_t) {
+    parallel_for_dynamic(4, 3, 1, [&](std::size_t, std::size_t, std::size_t, std::size_t) {
       chunks.fetch_add(1);
     });
   });
   const auto status = done.wait_for(std::chrono::seconds(5));
   release.set_value();
   done.get();
+  gated.get();
   EXPECT_EQ(status, std::future_status::ready);
   EXPECT_EQ(chunks.load(), 3);
-  pool.wait_idle();
 }
 
 TEST(ThreadPool, ParallelForRethrowsChunkZeroAfterOtherChunks) {
-  ThreadPool pool(3);
   std::atomic<int> finished{0};
   EXPECT_THROW(
-      pool.parallel_for(3,
-                        [&](std::size_t chunk, std::size_t, std::size_t) {
-                          if (chunk == 0) throw std::runtime_error("chunk 0");
-                          std::this_thread::sleep_for(std::chrono::milliseconds(20));
-                          finished.fetch_add(1);
-                        }),
+      parallel_for_dynamic(3, 3, 1,
+                           [&](std::size_t, std::size_t chunk, std::size_t, std::size_t) {
+                             if (chunk == 0) throw std::runtime_error("chunk 0");
+                             std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                             finished.fetch_add(1);
+                           }),
       std::runtime_error);
-  // The worker chunks completed before the exception left parallel_for.
+  // The other chunks completed before the exception left the call.
   EXPECT_EQ(finished.load(), 2);
 }
 
-TEST(ThreadPool, WaitIdleWithNoTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
-TEST(ParallelForOnce, CoversRangeExactly) {
-  std::vector<std::atomic<int>> hits(500);
-  parallel_for_once(4, 500, [&](std::size_t, std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelForOnce, SingleThreadRunsInline) {
-  std::size_t covered = 0;
-  parallel_for_once(1, 42, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-    EXPECT_EQ(chunk, 0u);
-    covered += end - begin;
-  });
-  EXPECT_EQ(covered, 42u);
-}
-
-TEST(ParallelForOnce, SumMatchesSerial) {
-  std::vector<long> partial(8, 0);
-  parallel_for_once(8, 10000, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-    long sum = 0;
-    for (std::size_t i = begin; i < end; ++i) sum += static_cast<long>(i);
-    partial[chunk] = sum;
-  });
-  const long total = std::accumulate(partial.begin(), partial.end(), 0L);
-  EXPECT_EQ(total, 10000L * 9999L / 2L);
+TEST(ThreadPool, RethrowsThrowFromNonZeroChunkOnCaller) {
+  const std::size_t count = 1000, grain = 10;
+  const std::size_t last = chunk_count(count, grain) - 1;
+  try {
+    parallel_for_dynamic(4, count, grain,
+                         [&](std::size_t, std::size_t chunk, std::size_t, std::size_t) {
+                           if (chunk == last) throw std::runtime_error("last chunk");
+                         });
+    ADD_FAILURE() << "the throw was lost";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "last chunk");
+  }
+  // The pool is unharmed: the next call covers every index once.
+  std::vector<std::atomic<int>> hits(count);
+  parallel_for_dynamic(4, count, grain,
+                       [&](std::size_t, std::size_t, std::size_t begin, std::size_t end) {
+                         for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+                       });
+  for (std::size_t i = 0; i < count; ++i) ASSERT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
 TEST(ParallelForDynamic, CoversRangeExactlyOnce) {
@@ -275,10 +234,7 @@ TEST(ParallelForDynamic, GrainHelpers) {
   EXPECT_EQ(chunk_count(7, 0), 7u);  // grain 0 treated as 1
 }
 
-// The ParallelForNuma suite is named for the per-node range schedule it
-// was written against; that one-range-per-worker handout is now
-// parallel_for_dynamic's only one.
-TEST(ParallelForNuma, CoversEveryChunkExactlyOnce) {
+TEST(ParallelForDynamic, CoversEveryChunkExactlyOnce) {
   // 1,003 items at grain 17 make 59 chunks, which no worker count here
   // divides, so the home ranges are ragged.
   const std::size_t count = 1003, grain = 17;
@@ -299,7 +255,7 @@ TEST(ParallelForNuma, CoversEveryChunkExactlyOnce) {
   }
 }
 
-TEST(ParallelForNuma, MoreNodesThanChunksStillCovers) {
+TEST(ParallelForDynamic, MoreThreadsThanChunksStillCovers) {
   // 2 chunks for 16 threads: only two workers may run, one per range.
   std::vector<std::atomic<int>> hits(2);
   parallel_for_dynamic(16, 20, 10,
@@ -310,14 +266,6 @@ TEST(ParallelForNuma, MoreNodesThanChunksStillCovers) {
                        });
   EXPECT_EQ(hits[0].load(), 1);
   EXPECT_EQ(hits[1].load(), 1);
-}
-
-TEST(ParallelForNuma, ZeroCountRunsNothing) {
-  bool ran = false;
-  parallel_for_dynamic(16, 0, 8,
-                       [&](std::size_t, std::size_t, std::size_t,
-                           std::size_t) { ran = true; });
-  EXPECT_FALSE(ran);
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
-// Concurrency stress for ThreadPool / parallel_for_once: external
-// submitters racing the worker queue, pool reuse across many barriers, and
-// destruction with work still queued. These suites run under
-// ThreadSanitizer in CI (tsan preset) so the pool's queue and idle
-// accounting get real contention to expose races.
+// Concurrency stress for the worker pool behind parallel_for_dynamic:
+// concurrent callers, loops nested inside chunks, and thread reuse across
+// many calls. These suites run under ThreadSanitizer in CI (tsan preset)
+// so the pool's hand-off and exit accounting get real contention to
+// expose races.
 #include "v2v/common/thread_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/types.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstddef>
-#include <memory>
+#include <functional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -17,93 +20,66 @@ namespace v2v {
 namespace {
 
 TEST(ThreadPoolStress, ConcurrentExternalSubmitters) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  constexpr int kSubmitters = 8;
-  constexpr int kTasksEach = 500;
-  {
-    std::vector<std::thread> submitters;
-    submitters.reserve(kSubmitters);
-    for (int s = 0; s < kSubmitters; ++s) {
-      submitters.emplace_back([&pool, &counter] {
-        for (int i = 0; i < kTasksEach; ++i) {
-          pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-        }
-      });
-    }
-    for (auto& t : submitters) t.join();
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), kSubmitters * kTasksEach);
-}
-
-TEST(ThreadPoolStress, WaitIdleRacingSubmit) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  std::thread submitter([&] {
-    for (int i = 0; i < 2000; ++i) {
-      pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-    }
-  });
-  // wait_idle while submission is in flight: must never hang or misreport.
-  for (int i = 0; i < 50; ++i) pool.wait_idle();
-  submitter.join();
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 2000);
-}
-
-TEST(ThreadPoolStress, RepeatedParallelForReusesWorkers) {
-  ThreadPool pool(4);
+  // Two threads call at 4 threads at the same time, many times over.
   constexpr std::size_t kItems = 257;  // deliberately not divisible by 4
-  std::vector<int> hits(kItems, 0);
-  for (int round = 0; round < 100; ++round) {
-    pool.parallel_for(kItems, [&](std::size_t, std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) ++hits[i];
-    });
-  }
-  for (std::size_t i = 0; i < kItems; ++i) EXPECT_EQ(hits[i], 100) << "index " << i;
-}
-
-TEST(ThreadPoolStress, DestructorDrainsQueuedTasks) {
-  std::atomic<int> counter{0};
-  constexpr int kTasks = 3000;
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < kTasks; ++i) {
-      pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
+  constexpr int kRounds = 200;
+  const auto caller = [](std::vector<int>& hits) {
+    for (int round = 0; round < kRounds; ++round) {
+      parallel_for_dynamic(4, kItems, 0,
+                           [&](std::size_t, std::size_t, std::size_t begin, std::size_t end) {
+                             for (std::size_t i = begin; i < end; ++i) ++hits[i];
+                           });
     }
-    // No wait_idle: the destructor must let workers finish the queue.
+  };
+  std::vector<int> hits_a(kItems, 0);
+  std::vector<int> hits_b(kItems, 0);
+  std::thread a(caller, std::ref(hits_a));
+  std::thread b(caller, std::ref(hits_b));
+  a.join();
+  b.join();
+  for (std::size_t i = 0; i < kItems; ++i) {
+    ASSERT_EQ(hits_a[i], kRounds) << "index " << i;
+    ASSERT_EQ(hits_b[i], kRounds) << "index " << i;
   }
-  EXPECT_EQ(counter.load(), kTasks);
 }
 
 TEST(ThreadPoolStress, NestedSubmitFromWorker) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&pool, &counter] {
-      counter.fetch_add(1, std::memory_order_relaxed);
-      pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-    });
+  // A 4-thread loop inside every chunk of a 4-thread loop: the inner
+  // calls find the pool's threads busy and must still finish.
+  constexpr std::size_t kOuter = 16;
+  constexpr std::size_t kInner = 300;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  parallel_for_dynamic(4, kOuter, 1,
+                       [&](std::size_t, std::size_t outer, std::size_t, std::size_t) {
+                         parallel_for_dynamic(
+                             4, kInner, 0,
+                             [&](std::size_t, std::size_t, std::size_t begin,
+                                 std::size_t end) {
+                               for (std::size_t i = begin; i < end; ++i) {
+                                 hits[outer * kInner + i].fetch_add(1);
+                               }
+                             });
+                       });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
-  // Two rounds of wait_idle: outer tasks may enqueue after the first wave
-  // of idles; loop until the count settles.
-  int prev = -1;
-  while (prev != counter.load()) {
-    prev = counter.load();
-    pool.wait_idle();
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 200);
 }
 
-TEST(ThreadPoolStress, ParallelForOnceManyThreadsSmallCount) {
-  // More threads than items: chunk assignment must not overlap or skip.
-  std::vector<std::atomic<int>> hits(5);
-  parallel_for_once(16, 5, [&](std::size_t, std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+TEST(ThreadPoolStress, RepeatedParallelForReusesWorkers) {
+  // 1,000 four-thread calls run on the caller and the pool's persistent
+  // threads, never on a thread started for one call: at most 16 kernel
+  // thread ids, the most threads any test asks for.
+  constexpr std::size_t kChunks = 64;
+  std::set<pid_t> tids;
+  for (int call = 0; call < 1000; ++call) {
+    std::vector<pid_t> ran_on(kChunks);
+    parallel_for_dynamic(4, kChunks, 1,
+                         [&](std::size_t, std::size_t chunk, std::size_t, std::size_t) {
+                           ran_on[chunk] = gettid();
+                         });
+    tids.insert(ran_on.begin(), ran_on.end());
+  }
+  EXPECT_LE(tids.size(), 16u);
 }
 
 }  // namespace

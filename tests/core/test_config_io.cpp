@@ -18,7 +18,6 @@ TEST(ConfigIo, RoundTripNonDefaultValues) {
   config.walk.temporal = true;
   config.walk.time_window = 2.5;
   config.walk.threads = 3;
-  config.walk.grain = 25;
   config.walk.streaming = true;
   config.train.dimensions = 123;
   config.train.window = 7;
@@ -47,7 +46,6 @@ TEST(ConfigIo, RoundTripNonDefaultValues) {
   EXPECT_TRUE(loaded.walk.temporal);
   EXPECT_DOUBLE_EQ(loaded.walk.time_window, 2.5);
   EXPECT_EQ(loaded.walk.threads, 3u);
-  EXPECT_EQ(loaded.walk.grain, 25u);
   EXPECT_TRUE(loaded.walk.streaming);
   EXPECT_EQ(loaded.train.dimensions, 123u);
   EXPECT_EQ(loaded.train.window, 7u);
@@ -100,6 +98,20 @@ TEST(ConfigIo, RefreshKeysAreRejected) {
                 std::string::npos)
           << e.what();
     }
+  }
+}
+
+TEST(ConfigIo, WalkGrainKeyIsRejected) {
+  // Files saved while WalkConfig carried a grain have this key; it is now
+  // an unknown key, reported with its line.
+  std::stringstream old("seed = 3\nwalk.grain = 25\n");
+  try {
+    (void)load_config(old);
+    ADD_FAILURE() << "walk.grain was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("config line 2: unknown key 'walk.grain'"),
+              std::string::npos)
+        << e.what();
   }
 }
 

@@ -116,7 +116,6 @@ TEST(OocStress, ParallelCountingPassIsDeterministic) {
   walk::WalkConfig config;
   config.walks_per_vertex = 3;
   config.walk_length = 15;
-  config.grain = 5;
   config.threads = 4;
   const walk::StreamedCorpus a(g, config, 55);
   config.threads = 1;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "v2v/common/rng.hpp"
+#include "v2v/common/thread_pool.hpp"
 #include "v2v/graph/generators.hpp"
 #include "v2v/obs/metrics.hpp"
 #include "v2v/walk/walker.hpp"
@@ -39,7 +40,8 @@ TEST(WalkerAlias, ParallelBuildIsDeterministic) {
   config.walks_per_vertex = 2;
   config.walk_length = 12;
   config.bias = StepBias::kEdgeWeight;
-  config.grain = 16;  // force several chunks
+  // 4 threads split the 200 tables into several chunks per worker.
+  ASSERT_GT(chunk_count(g.vertex_count(), default_grain(g.vertex_count(), 4)), 4u);
 
   config.threads = 1;
   const Corpus serial = generate_corpus(g, config, 11);

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "v2v/common/thread_pool.hpp"
 #include "v2v/graph/generators.hpp"
 #include "v2v/graph/graph.hpp"
 #include "v2v/obs/metrics.hpp"
@@ -89,17 +90,21 @@ TEST(CorpusStream, EveryRangeReplaysTheRamCorpus) {
 }
 
 TEST(CorpusSpoolTest, RoundTripMatchesInMemoryCorpus) {
-  const graph::Graph g = graph::make_ring(40);
+  const graph::Graph g = graph::make_ring(100);
   WalkConfig config = three_walks();
   config.walk_length = 9;
   config.threads = 2;
-  config.grain = 7;  // several counting-pass chunks with a ragged tail
+  // The default grain, 100 / 2 / 16 = 3, gives several counting-pass
+  // chunks per worker and a ragged tail.
+  const std::size_t grain = default_grain(g.vertex_count(), config.threads);
+  ASSERT_GT(chunk_count(g.vertex_count(), grain), 2 * config.threads);
+  ASSERT_NE(g.vertex_count() % grain, 0u);
 
   const Corpus ram = generate_corpus(g, config, 99);
   const StreamedCorpus stream(g, config, 99);
   EXPECT_EQ(stream.walk_count(), ram.walk_count());
   EXPECT_EQ(stream.token_count(), ram.token_count());
-  EXPECT_EQ(stream.max_token(), 39u);
+  EXPECT_EQ(stream.max_token(), 99u);
   EXPECT_EQ(read(stream, 0, stream.walk_count()), ram_walks(ram, 0, ram.walk_count()));
   EXPECT_EQ(stream.vertex_frequencies(g.vertex_count()),
             ram.vertex_frequencies(g.vertex_count()));
