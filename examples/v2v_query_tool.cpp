@@ -7,16 +7,18 @@
 //   v2v_query_tool info    <in.v2vsnap>
 //   v2v_query_tool serve   <in.v2vsnap> [index/engine flags] [server flags]
 //
-// `convert --quantize=sq8|pq[:m]` trains the quantizer while converting
-// and writes a v2 sectioned snapshot carrying the codes; without
-// --keep-floats the float matrix is dropped entirely, so the serving
-// footprint is the quantized payload alone. `info` lists every section
+// `convert` writes a v2 sectioned snapshot: a plain convert holds one
+// "fmat" float-matrix section, and `--quantize=sq8|pq[:m]` trains the
+// quantizer while converting and adds sections carrying the codes; with
+// --quantize and without --keep-floats the float matrix is dropped
+// entirely, so the serving footprint is the quantized payload alone.
+// `export` writes the float matrix back as word2vec text. `info` lists every section
 // with its checksum. `serve --index=sq8|ivfpq` loads such a snapshot
 // zero-copy (codes served straight from the mapping, no float matrix in
 // RAM) or quantizes float snapshots on the fly.
 //
-// `serve` memory-maps the snapshot (zero-copy; --no-mmap forces the
-// buffered fallback), builds the requested index, and is a thin launcher
+// `serve` memory-maps the snapshot (zero-copy; a buffered read when mmap
+// fails), builds the requested index, and is a thin launcher
 // over the serve/ library: with --port it runs the concurrent network
 // server (binary V2Q1 protocol + HTTP shim) until SIGINT/SIGTERM, then
 // drains gracefully; without --port it answers one query per input line
@@ -55,7 +57,7 @@
 #include "v2v/obs/metrics.hpp"
 #include "v2v/serve/batch_queue.hpp"
 #include "v2v/serve/server.hpp"
-#include "v2v/store/snapshot.hpp"
+#include "v2v/store/format.hpp"
 #include "v2v/store/trainer_state.hpp"
 
 namespace {
@@ -96,6 +98,11 @@ std::size_t pq_subspaces(const std::string& text, std::size_t dims) {
 int cmd_convert(const CliArgs& args) {
   const auto& out = args.positional()[2];
   const std::string quantize = args.get("quantize", "");
+  const auto emb = embed::Embedding::load_text_file(args.positional()[1]);
+  store::SnapshotBuilder builder(emb.vertex_count(), emb.dimensions());
+  if (quantize.empty() || args.get_bool("keep-floats")) {
+    builder.set_float_matrix(store::EmbeddingView::of(emb));
+  }
   if (quantize.empty()) {
     for (const char* flag : {"metric", "nlist", "build-threads", "keep-floats"}) {
       if (args.has(flag)) {
@@ -103,21 +110,14 @@ int cmd_convert(const CliArgs& args) {
                      "warning: --%s has no effect without --quantize\n", flag);
       }
     }
-    store::convert_text_to_snapshot(args.positional()[1], out);
-    const auto h = store::EmbeddingStore::read_header(out);
-    std::printf("wrote %s: %llu rows x %llu dims\n", out.c_str(),
-                static_cast<unsigned long long>(h.rows),
-                static_cast<unsigned long long>(h.dims));
+    builder.write(out);
+    std::printf("wrote %s: %zu rows x %zu dims\n", out.c_str(),
+                emb.vertex_count(), emb.dimensions());
     return 0;
   }
 
-  const auto emb = embed::Embedding::load_text_file(args.positional()[1]);
   const auto metric = metric_from(args);
   const std::size_t threads = args.get_size("build-threads", 1);
-  store::SnapshotBuilder builder(emb.vertex_count(), emb.dimensions());
-  if (args.get_bool("keep-floats")) {
-    builder.set_float_matrix(store::EmbeddingView::of(emb));
-  }
 
   index::IvfConfig config;
   config.threads = threads;
@@ -148,7 +148,14 @@ int cmd_convert(const CliArgs& args) {
 }
 
 int cmd_export(const CliArgs& args) {
-  store::convert_snapshot_to_text(args.positional()[1], args.positional()[2]);
+  const auto& path = args.positional()[1];
+  const auto snap = store::MappedSnapshot::open(path);
+  if (!snap.has_floats()) {
+    store::throw_snapshot_error(store::SnapshotErrorCode::kBadDtype, path,
+                                "snapshot carries no float matrix");
+  }
+  const embed::Embedding emb{snap.float_view().to_matrix()};
+  emb.save_text_file(args.positional()[2]);
   std::printf("wrote %s\n", args.positional()[2].c_str());
   return 0;
 }
@@ -320,10 +327,7 @@ int cmd_serve(const CliArgs& args) {
   }
   obs::MetricsRegistry metrics;
 
-  const auto mode = args.get_bool("no-mmap")
-                        ? store::MappedSnapshot::MapMode::kBuffered
-                        : store::MappedSnapshot::MapMode::kAuto;
-  const auto mapped = store::MappedSnapshot::open(path, mode);
+  const auto mapped = store::MappedSnapshot::open(path);
   std::fprintf(stderr, "serving %s: %zu rows x %zu dims (%s, %zu sections%s)\n",
                path.c_str(), mapped.rows(), mapped.dimensions(),
                mapped.zero_copy() ? "zero-copy mmap" : "buffered",
@@ -458,7 +462,6 @@ void usage() {
       "  --build-threads=N    threads for one-off index builds only\n"
       "                       (defaults to --threads; never changes results or\n"
       "                       serving parallelism — build wide, serve narrow)\n"
-      "  --no-mmap            force the buffered snapshot read\n"
       "\n"
       "serve server flags (docs/SERVING.md):\n"
       "  --port=P             listen on P (0 = ephemeral); omit for offline\n"
@@ -503,7 +506,7 @@ int main(int argc, char** argv) {
     if (command == "info" && pos.size() >= 2) return run({}, cmd_info);
     if (command == "serve" && pos.size() >= 2) {
       return run({"index", "metric", "k", "nlist", "nprobe", "rerank", "threads",
-                  "build-threads", "queries", "no-mmap", "metrics-out", "port",
+                  "build-threads", "queries", "metrics-out", "port",
                   "host", "batch", "queue", "deadline-ms", "max-conns"},
                  cmd_serve);
     }

@@ -57,7 +57,7 @@
 #include "v2v/obs/export.hpp"
 #include "v2v/obs/metrics.hpp"
 #include "v2v/store/embedding_view.hpp"
-#include "v2v/store/snapshot.hpp"
+#include "v2v/store/format.hpp"
 #include "v2v/store/trainer_state.hpp"
 #include "v2v/viz/svg.hpp"
 
@@ -174,13 +174,7 @@ int cmd_refresh(const CliArgs& args) {
 
   // Copy the mmapped matrix out: the session takes ownership of its
   // Embedding.
-  const auto view = snap.float_view();
-  MatrixF warm(view.rows(), view.dimensions());
-  for (std::size_t r = 0; r < view.rows(); ++r) {
-    const auto row = view.row(r);
-    std::copy(row.begin(), row.end(), warm.row(r).begin());
-  }
-  embed::Embedding embedding{std::move(warm)};
+  embed::Embedding embedding{snap.float_view().to_matrix()};
 
   const std::size_t threads = args.get_size("threads", 1);
   walk::WalkConfig walk_config;

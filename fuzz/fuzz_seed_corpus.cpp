@@ -24,7 +24,7 @@
 #include "v2v/dynamic/delta_io.hpp"
 #include "v2v/embed/embedding.hpp"
 #include "v2v/serve/protocol.hpp"
-#include "v2v/store/snapshot.hpp"
+#include "v2v/store/format.hpp"
 
 namespace {
 
@@ -102,7 +102,10 @@ void write_snapshot_seeds(const fs::path& dir) {
     }
   }
   const fs::path snap = dir / "tmp_seed.v2vsnap";
-  v2v::store::EmbeddingStore::save(embedding, snap.string());
+  v2v::store::SnapshotBuilder builder(embedding.vertex_count(),
+                                      embedding.dimensions());
+  builder.set_float_matrix(v2v::store::EmbeddingView::of(embedding));
+  builder.write(snap.string());
   const std::uint64_t file_size = fs::file_size(snap);
 
   std::ifstream in(snap, std::ios::binary);

@@ -1,7 +1,6 @@
-// Fuzz harness for snapshot header validation (store/snapshot.hpp):
-// decode_snapshot_header is the single validator every file-based reader
-// (read_header / load / MappedEmbedding::open) funnels untrusted bytes
-// through, so covering it covers the store's entire parse surface.
+// Fuzz harness for snapshot header validation (store/format.hpp):
+// decode_snapshot_header is the single validator MappedSnapshot::open
+// funnels untrusted fixed headers through, mapped or buffered.
 //
 // Input shape: the last 8 bytes (when present) are a little-endian
 // purported file size — the validator cross-checks the header's promised
@@ -20,7 +19,7 @@
 #include <cstring>
 #include <span>
 
-#include "v2v/store/snapshot.hpp"
+#include "v2v/store/format.hpp"
 
 #define FUZZ_CHECK(cond) \
   do {                   \

@@ -13,7 +13,7 @@
 #include "v2v/common/thread_pool.hpp"
 #include "v2v/common/vec_math.hpp"
 #include "v2v/obs/metrics.hpp"
-#include "v2v/store/snapshot.hpp"
+#include "v2v/store/format.hpp"
 
 namespace v2v::index {
 namespace {

@@ -7,7 +7,7 @@
 #include "v2v/common/check.hpp"
 #include "v2v/common/kernels.hpp"
 #include "v2v/common/thread_pool.hpp"
-#include "v2v/store/snapshot.hpp"
+#include "v2v/store/format.hpp"
 
 namespace v2v::index {
 namespace {

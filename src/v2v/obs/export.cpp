@@ -326,19 +326,6 @@ class JsonParser {
   std::size_t depth_ = 0;
 };
 
-std::string format_double(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
-
-void flatten_stage(Table& table, const StageSnapshot& stage, const std::string& prefix) {
-  const std::string path = prefix.empty() ? stage.name : prefix + "/" + stage.name;
-  table.add_row({"stage", path, format_double(stage.seconds),
-                 std::to_string(stage.calls), "", "", ""});
-  for (const auto& child : stage.children) flatten_stage(table, child, path);
-}
-
 }  // namespace
 
 JsonValue parse_json(std::string_view text) {
@@ -379,40 +366,10 @@ std::string to_json(const MetricsRegistry& registry) {
   return to_json(registry.snapshot());
 }
 
-Table to_table(const MetricsRegistry::Snapshot& snapshot) {
-  Table table({"kind", "name", "value", "count", "p50", "p95", "p99"});
-  for (const auto& [name, value] : snapshot.counters) {
-    table.add_row({"counter", name, std::to_string(value), "", "", "", ""});
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    table.add_row({"gauge", name, format_double(value), "", "", "", ""});
-  }
-  for (const auto& [name, hist] : snapshot.histograms) {
-    table.add_row({"histogram", name, format_double(hist.mean),
-                   std::to_string(hist.count), format_double(hist.p50),
-                   format_double(hist.p95), format_double(hist.p99)});
-  }
-  for (const auto& [name, values] : snapshot.series) {
-    table.add_row({"series", name,
-                   values.empty() ? "" : format_double(values.back()),
-                   std::to_string(values.size()), "", "", ""});
-  }
-  flatten_stage(table, snapshot.stages, "");
-  return table;
-}
-
-Table to_table(const MetricsRegistry& registry) {
-  return to_table(registry.snapshot());
-}
-
 void write_json_file(const MetricsRegistry& registry, const std::string& path) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("metrics export: cannot open " + path);
   out << to_json(registry) << '\n';
-}
-
-void write_csv_file(const MetricsRegistry& registry, const std::string& path) {
-  to_table(registry).write_csv(path);
 }
 
 }  // namespace v2v::obs

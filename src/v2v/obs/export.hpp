@@ -1,9 +1,7 @@
 // Machine-readable export of a MetricsRegistry: a JSON sidecar (schema
-// "v2v.metrics.v1", documented in README "Observability") and a flat CSV
-// mirror built on common/table.hpp so bench tooling can ingest metrics
-// exactly like the paper tables. A minimal JSON DOM + parser is included
-// so sidecars can be read back (round-trip tests, cross-run diffing)
-// without adding a dependency.
+// "v2v.metrics.v1", documented in README "Observability"). A minimal JSON
+// DOM + parser is included so sidecars can be read back (round-trip
+// tests, cross-run diffing) without adding a dependency.
 #pragma once
 
 #include <map>
@@ -11,7 +9,6 @@
 #include <string_view>
 #include <vector>
 
-#include "v2v/common/table.hpp"
 #include "v2v/obs/metrics.hpp"
 
 namespace v2v::obs {
@@ -52,17 +49,8 @@ struct JsonValue {
 [[nodiscard]] std::string to_json(const MetricsRegistry::Snapshot& snapshot);
 [[nodiscard]] std::string to_json(const MetricsRegistry& registry);
 
-/// Flattens a snapshot into a Table with header
-/// {kind, name, value, count, p50, p95, p99}: counters/gauges carry their
-/// value, histograms their mean + quantiles, series their last value +
-/// length, stages their cumulative seconds + calls under a
-/// "/"-joined path name. Empty cells for inapplicable columns.
-[[nodiscard]] Table to_table(const MetricsRegistry::Snapshot& snapshot);
-[[nodiscard]] Table to_table(const MetricsRegistry& registry);
-
-/// Writes to_json / to_table output to `path`; throws std::runtime_error
-/// when the file cannot be opened.
+/// Writes to_json output to `path`; throws std::runtime_error when the
+/// file cannot be opened.
 void write_json_file(const MetricsRegistry& registry, const std::string& path);
-void write_csv_file(const MetricsRegistry& registry, const std::string& path);
 
 }  // namespace v2v::obs

@@ -2,10 +2,11 @@
 // `dims` floats whose row starts are `stride` floats apart. This is the
 // currency between the storage layer and the index layer — a FlatIndex or
 // IvfIndex built over a view serves an in-memory embed::Embedding, a plain
-// MatrixF, and a zero-copy MappedEmbedding snapshot identically. The
-// backing storage must outlive every view onto it.
+// MatrixF, and a MappedSnapshot's float matrix identically. The backing
+// storage must outlive every view onto it.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 
@@ -42,6 +43,17 @@ class EmbeddingView {
   [[nodiscard]] std::span<const float> row(std::size_t r) const noexcept {
     V2V_BOUNDS(r, rows_);
     return {data_ + r * stride_, dims_};
+  }
+
+  /// An owning copy of the viewed rows (wrap it in an embed::Embedding to
+  /// outlive the backing storage).
+  [[nodiscard]] MatrixF to_matrix() const {
+    MatrixF out(rows_, dims_);
+    for (std::size_t r = 0; r < rows_; ++r) {
+      const auto src = row(r);
+      std::copy(src.begin(), src.end(), out.row(r).begin());
+    }
+    return out;
   }
 
  private:

@@ -1,9 +1,8 @@
-// The snapshot *container* format, independent of what the payloads mean:
-// magic + checksummed fixed header, the v2 named-section table, the mmap
-// reader with buffered fallback, and the section writer. The quantized
-// indexes and the trainer-state store persist checksummed sections through
-// it without touching the embedding types; store/snapshot.hpp layers the
-// embedding-level API (EmbeddingStore / MappedEmbedding) on top.
+// The snapshot file format: magic + checksummed fixed header, the v2
+// named-section table, one writer (SnapshotBuilder) and one reader
+// (MappedSnapshot, mmap with a buffered fallback). The embedding float
+// matrix, the quantized indexes and the trainer-state store all persist
+// checksummed sections through it.
 //
 // On-disk layout (all integers little-endian; see docs/ARCHITECTURE.md):
 //
@@ -19,30 +18,32 @@
 //         56   data_checksum   u64  FNV-1a 64 over the row region
 //         64   header_checksum u64  FNV-1a 64 over bytes [0, 64)
 //
-// v2+ files append a checksummed section table at byte 72 (see
-// SnapshotSection). Every malformed input fails with a typed
-// SnapshotError (never UB), so corrupt files are diagnosable and the
+// The writer emits v2 or v3: a checksummed section table at byte 72 (see
+// SnapshotSection). v1 files (no table, rows at data_offset) come from
+// earlier builds and are still read. Every malformed input fails with a
+// typed SnapshotError (never UB), so corrupt files are diagnosable and the
 // corruption test matrices can assert exact error codes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <iosfwd>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "v2v/common/aligned.hpp"
 #include "v2v/store/embedding_view.hpp"
 
 namespace v2v::store {
 
+/// Version 1: the fixed header and one float region, no section table.
+/// Earlier builds wrote it; it is read, never written.
 inline constexpr std::uint32_t kSnapshotVersion = 1;
-/// Version 2 appends a checksummed section table (quantized payloads) at
-/// byte 72; the fixed header is unchanged, so v1 readers of the float
-/// region keep working on v2 files that carry floats.
+/// Version 2 appends a checksummed section table (float matrix, quantized
+/// payloads) at byte 72; the fixed header is unchanged.
 inline constexpr std::uint32_t kSnapshotVersionSections = 2;
 /// Version 3 adds optional trainer/optimizer-state sections ("tsyn1",
 /// "tfreq", "tlrst" — see store/trainer_state.hpp) on top of the v2
@@ -62,16 +63,6 @@ inline constexpr std::uint16_t kEndianTag = 0x0102;
 /// checksums when building corruption cases.
 [[nodiscard]] std::uint64_t fnv1a64(const void* data, std::size_t bytes) noexcept;
 
-/// Incremental FNV-1a 64: seed with fnv1a64_seed(), fold ranges in order
-/// with fnv1a64_accumulate(). Equal to fnv1a64 over the concatenation —
-/// this is how EmbeddingStore checksums rows it never holds in memory at
-/// once.
-[[nodiscard]] constexpr std::uint64_t fnv1a64_seed() noexcept {
-  return 0xcbf29ce484222325ULL;
-}
-[[nodiscard]] std::uint64_t fnv1a64_accumulate(std::uint64_t state, const void* data,
-                                               std::size_t bytes) noexcept;
-
 enum class SnapshotErrorCode : std::uint8_t {
   kOpenFailed,              ///< file missing or unreadable/unwritable
   kTruncatedHeader,         ///< shorter than the fixed header
@@ -82,7 +73,6 @@ enum class SnapshotErrorCode : std::uint8_t {
   kBadEndianness,           ///< byte-swapped producer
   kBadHeader,               ///< internally inconsistent header fields
   kTruncatedData,           ///< file shorter than header promises
-  kDataChecksumMismatch,    ///< row region corrupted
   kBadSectionTable,         ///< v2 section table malformed or truncated
   kSectionChecksumMismatch, ///< a section payload is corrupted
 };
@@ -131,11 +121,10 @@ inline constexpr std::size_t kSnapshotHeaderBytes = 72;
 /// Validates and decodes the fixed header from an in-memory byte range
 /// (at least the first kSnapshotHeaderBytes of a purported snapshot).
 /// `file_size` is the total size of the purported file, checked against
-/// the region the header promises. Throws SnapshotError with the same
-/// typed codes as the file-based readers; `origin` names the source in
-/// error messages. This is the single validator behind
-/// read_header/load/MappedEmbedding::open for untrusted bytes — and the
-/// entry point fuzz/fuzz_snapshot.cpp drives.
+/// the region the header promises. Throws a typed SnapshotError; `origin`
+/// names the source in error messages. This is the single header validator
+/// MappedSnapshot::open runs on untrusted bytes in either MapMode — and
+/// the entry point fuzz/fuzz_snapshot.cpp drives.
 [[nodiscard]] SnapshotHeader decode_snapshot_header(
     std::span<const std::uint8_t> bytes, std::uint64_t file_size,
     const std::string& origin = "<memory>");
@@ -147,22 +136,9 @@ inline constexpr std::size_t kSnapshotHeaderBytes = 72;
 void encode_snapshot_header(const SnapshotHeader& h,
                             std::span<std::uint8_t> out) noexcept;
 
-/// Reads and validates the fixed header from an open binary stream,
-/// leaving it positioned at byte kSnapshotHeaderBytes; `origin` names the
-/// file in error messages.
-[[nodiscard]] SnapshotHeader read_snapshot_header(std::istream& in,
-                                                  const std::string& origin);
-
-/// Opens `path` and validates just the fixed header (cheap metadata probe).
-[[nodiscard]] SnapshotHeader read_snapshot_header(const std::string& path);
-
-/// True when V2V_STORE_NO_MMAP is set non-empty/non-zero: every mmap-capable
-/// reader then takes its buffered fallback (how that path is tested).
-[[nodiscard]] bool mmap_disabled_by_env() noexcept;
-
-/// How a reader backs its data: kAuto maps the file when the platform has
-/// mmap (and the env override is unset), kBuffered forces the owning-copy
-/// path with identical observable behaviour.
+/// How a reader backs its data: kAuto maps the file (and falls back to a
+/// buffered read where mmap is missing or fails), kBuffered forces the
+/// owning-copy path with identical observable behaviour.
 enum class MapMode : std::uint8_t { kAuto, kBuffered };
 
 /// One entry of a v2 section table: a named, checksummed byte range.
@@ -177,7 +153,7 @@ enum class MapMode : std::uint8_t { kAuto, kBuffered };
 ///   payloads       each 64-byte aligned; when a float matrix is present
 ///                  it is the "fmat" section and the fixed header's
 ///                  data_offset/data_bytes/data_checksum mirror its entry,
-///                  so MappedEmbedding reads v2-with-floats unchanged.
+///                  the way a v1 header describes its float region.
 struct SnapshotSection {
   std::string name;  ///< up to 8 bytes, e.g. "fmat", "pqbk", "tsyn1"
   std::uint64_t offset = 0;
@@ -186,8 +162,9 @@ struct SnapshotSection {
 };
 
 /// Writes a v2 snapshot: optional float matrix plus arbitrary named
-/// sections, every payload checksummed and 64-byte aligned. Payloads are
-/// buffered in memory until `write`.
+/// sections, every payload checksummed and 64-byte aligned. Named
+/// sections are held in memory until `write`; the float matrix is not
+/// copied.
 class SnapshotBuilder {
  public:
   /// Logical corpus shape (rows x dims), independent of which payloads
@@ -195,8 +172,10 @@ class SnapshotBuilder {
   SnapshotBuilder(std::uint64_t rows, std::uint64_t dims)
       : rows_(rows), dims_(dims) {}
 
-  /// Attaches the float matrix as the "fmat" section (row-padded exactly
-  /// like EmbeddingStore::save, so the mmap path stays 64-byte aligned).
+  /// Attaches the float matrix as the "fmat" section, in add order. The
+  /// builder keeps `view`, which must stay valid until `write`; each row
+  /// is zero-padded to a 64-byte multiple on disk, so mapped rows stay
+  /// 64-byte aligned.
   void set_float_matrix(const EmbeddingView& view);
 
   /// Adds a named section (name must be 1..8 bytes and unique).
@@ -209,29 +188,35 @@ class SnapshotBuilder {
   /// kSnapshotVersionSections.
   void set_min_version(std::uint32_t version);
 
-  /// Serializes everything to `path`.
+  /// Serializes everything to a temp file beside `path` and renames it
+  /// over `path`: a reader that mapped the old file keeps reading the old
+  /// bytes, and on failure (SnapshotError kOpenFailed) the temp file is
+  /// removed and `path` is left as it was.
   void write(const std::string& path) const;
 
  private:
   std::uint64_t rows_;
   std::uint64_t dims_;
-  std::uint64_t row_stride_ = 0;  ///< nonzero iff a float matrix is attached
+  EmbeddingView floats_;  ///< streamed as "fmat" when one is attached
   std::uint32_t min_version_ = kSnapshotVersionSections;
+  /// In add order; "fmat" holds an empty placeholder for floats_.
   std::vector<std::pair<std::string, std::vector<std::uint8_t>>> sections_;
 };
 
-/// A v2 (or v1) snapshot opened for serving with all sections validated.
-/// On POSIX the whole file is mmapped read-only and `section()` spans point
-/// straight into the mapping; elsewhere (or under V2V_STORE_NO_MMAP=1 /
-/// MapMode kBuffered) the file is read into an owning buffer. A v1 file
-/// appears as a single synthetic "fmat" section, so callers can treat both
-/// versions uniformly. Move-only.
+/// A snapshot (v1, v2 or v3) opened for serving with all sections
+/// validated. With MapMode::kAuto on POSIX the whole file is mmapped
+/// read-only and `section()` spans point straight into the mapping;
+/// otherwise, or when mmap fails, the file is read into an owning 64-byte
+/// aligned buffer. A v1 file appears as a single synthetic "fmat" section,
+/// so callers can treat every version uniformly. Move-only.
 class MappedSnapshot {
  public:
   using MapMode = store::MapMode;
 
   /// Opens and fully validates `path`: header, section table, and every
   /// section checksum (faults each page exactly once, doubling as warm-up).
+  /// The header and the served bytes come from one open of `path`, so a
+  /// concurrent rewrite cannot pair one file's header with another's rows.
   [[nodiscard]] static MappedSnapshot open(const std::string& path,
                                            MapMode mode = MapMode::kAuto);
 
@@ -257,8 +242,10 @@ class MappedSnapshot {
   [[nodiscard]] bool has_floats() const noexcept {
     return header_.dtype == kDtypeFloat32;
   }
-  /// View over the float matrix; V2V_CHECKs has_floats().
+  /// View over the float matrix, valid for this object's lifetime; rows
+  /// are 64-byte aligned. V2V_CHECKs has_floats().
   [[nodiscard]] EmbeddingView float_view() const noexcept;
+  /// True when the file is served from the mapping (no copy was made).
   [[nodiscard]] bool zero_copy() const noexcept { return map_base_ != nullptr; }
 
  private:
@@ -268,10 +255,9 @@ class MappedSnapshot {
 
   SnapshotHeader header_;
   std::vector<SnapshotSection> sections_;
-  void* map_base_ = nullptr;
-  std::size_t map_bytes_ = 0;
-  std::vector<std::uint8_t> buffer_;  ///< fallback storage
+  void* map_base_ = nullptr;  ///< non-null iff mmap-backed
   std::size_t file_bytes_ = 0;
+  AlignedVector<std::uint8_t> buffer_;  ///< fallback storage
 };
 
 }  // namespace v2v::store

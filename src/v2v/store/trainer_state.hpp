@@ -21,7 +21,7 @@
 #include <string>
 
 #include "v2v/embed/trainer.hpp"
-#include "v2v/store/snapshot.hpp"
+#include "v2v/store/format.hpp"
 
 namespace v2v::store {
 

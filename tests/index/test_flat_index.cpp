@@ -9,9 +9,10 @@
 #include <filesystem>
 #include <vector>
 
+#include "../store/v1_snapshot.hpp"
 #include "v2v/common/rng.hpp"
 #include "v2v/common/vec_math.hpp"
-#include "v2v/store/snapshot.hpp"
+#include "v2v/store/format.hpp"
 
 namespace v2v::index {
 namespace {
@@ -102,24 +103,28 @@ TEST(FlatIndex, ZeroVectorsAreMaximallyDistantUnderCosine) {
 }
 
 TEST(FlatIndex, ServesMappedSnapshotIdentically) {
+  // Over a v1 file, the layout earlier builds wrote, in both MapModes.
   const MatrixF points = random_points(24, 9, 31);
   const auto path = (std::filesystem::temp_directory_path() /
                      "v2v_flat_over_snapshot.v2vsnap")
                         .string();
-  store::EmbeddingStore::save(embed::Embedding(points), path);
-  const auto mapped = store::MappedEmbedding::open(path);
+  store::write_v1_snapshot(store::EmbeddingView::of(points), path);
 
   const FlatIndex from_memory(store::EmbeddingView::of(points));
-  const FlatIndex from_snapshot(mapped.view());
   Rng rng(7);
   std::vector<float> query(9);
   for (auto& x : query) x = static_cast<float>(rng.next_gaussian());
   const auto a = from_memory.search(query, 8);
-  const auto b = from_snapshot.search(query, 8);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].id, b[i].id);
-    EXPECT_DOUBLE_EQ(a[i].distance, b[i].distance);
+  for (const auto mode : {store::MapMode::kAuto, store::MapMode::kBuffered}) {
+    const auto mapped = store::MappedSnapshot::open(path, mode);
+    ASSERT_EQ(mapped.header().version, store::kSnapshotVersion);
+    const FlatIndex from_snapshot(mapped.float_view());
+    const auto b = from_snapshot.search(query, 8);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].id, b[i].id);
+      EXPECT_DOUBLE_EQ(a[i].distance, b[i].distance);
+    }
   }
   std::filesystem::remove(path);
 }

@@ -25,7 +25,7 @@
 #include "v2v/index/flat_index.hpp"
 #include "v2v/index/ivf_index.hpp"
 #include "v2v/index/quantizer.hpp"
-#include "v2v/store/snapshot.hpp"
+#include "v2v/store/format.hpp"
 
 namespace v2v::index {
 namespace {

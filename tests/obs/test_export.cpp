@@ -146,50 +146,5 @@ TEST(ObsExport, WriteJsonFileThrowsOnBadPath) {
                std::runtime_error);
 }
 
-TEST(ObsExport, TableFlattensEveryKind) {
-  MetricsRegistry registry;
-  populate(registry);
-  const Table table = to_table(registry);
-  ASSERT_EQ(table.header().front(), "kind");
-
-  bool saw_counter = false, saw_gauge = false, saw_histogram = false,
-       saw_series = false, saw_stage_path = false;
-  for (const auto& row : table.data()) {
-    if (row[0] == "counter" && row[1] == "walk.walks" && row[2] == "5000") {
-      saw_counter = true;
-    }
-    if (row[0] == "gauge" && row[1] == "train.lr.final") saw_gauge = true;
-    if (row[0] == "histogram" && row[1] == "train.epoch_seconds" &&
-        row[3] == "10") {
-      saw_histogram = true;
-    }
-    if (row[0] == "series" && row[1] == "train.epoch_loss" && row[3] == "2") {
-      saw_series = true;
-    }
-    if (row[0] == "stage" && row[1] == "run/learn_embedding/walk") {
-      saw_stage_path = true;
-    }
-  }
-  EXPECT_TRUE(saw_counter);
-  EXPECT_TRUE(saw_gauge);
-  EXPECT_TRUE(saw_histogram);
-  EXPECT_TRUE(saw_series);
-  EXPECT_TRUE(saw_stage_path);
-}
-
-TEST(ObsExport, CsvFileIsTableCompatible) {
-  MetricsRegistry registry;
-  populate(registry);
-  const auto path =
-      (std::filesystem::temp_directory_path() / "v2v_obs_metrics.csv").string();
-  write_csv_file(registry, path);
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, "kind,name,value,count,p50,p95,p99");
-  std::remove(path.c_str());
-}
-
 }  // namespace
 }  // namespace v2v::obs

@@ -1,8 +1,8 @@
 // Snapshot v2 (section table) tests: builder round-trips through mmap and
-// the buffered fallback, v1 compatibility in both directions, dtype-none
-// rejection by the float readers, and the extended corruption matrix over
-// codebook/code sections (truncations and bit flips must fail with the
-// exact typed SnapshotErrorCode).
+// the buffered fallback, v1 files read as one "fmat" section, dtype-none
+// snapshots that carry no float matrix, and the extended corruption matrix
+// over codebook/code sections (truncations and bit flips must fail with
+// the exact typed SnapshotErrorCode).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,9 +16,10 @@
 #include <unistd.h>
 #endif
 
+#include "v1_snapshot.hpp"
 #include "v2v/common/rng.hpp"
+#include "v2v/embed/embedding.hpp"
 #include "v2v/store/format.hpp"
-#include "v2v/store/snapshot.hpp"
 
 namespace v2v::store {
 namespace {
@@ -141,8 +142,8 @@ TEST_F(QuantSnapshotTest, BuilderRoundTripsSectionsThroughMmapAndBuffered) {
 }
 
 TEST_F(QuantSnapshotTest, FloatReadersStillOpenV2WithFloats) {
-  // The fixed header of a v2-with-floats file mirrors the "fmat" section,
-  // so the v1-era float readers must keep working on it.
+  // The fixed header of a v2-with-floats file mirrors the "fmat" section:
+  // the float view and its owning copy match the input with codes alongside.
   const auto e = make_embedding(12, 7, 23);
   SnapshotBuilder b(12, 7);
   b.set_float_matrix(EmbeddingView::of(e));
@@ -150,13 +151,18 @@ TEST_F(QuantSnapshotTest, FloatReadersStillOpenV2WithFloats) {
   const auto p = path("v2float.v2vsnap");
   b.write(p);
 
-  const auto mapped = MappedEmbedding::open(p);
-  EXPECT_EQ(mapped.rows(), 12u);
-  const auto back = EmbeddingStore::load(p);
-  for (std::size_t r = 0; r < 12; ++r) {
-    EXPECT_EQ(std::memcmp(back.vector(r).data(), e.vector(r).data(),
-                          7 * sizeof(float)),
-              0);
+  for (const auto mode : {MappedSnapshot::MapMode::kAuto,
+                          MappedSnapshot::MapMode::kBuffered}) {
+    const auto snap = MappedSnapshot::open(p, mode);
+    ASSERT_TRUE(snap.has_floats());
+    EXPECT_EQ(snap.header().data_offset, find(snap, "fmat")->offset);
+    const embed::Embedding back{snap.float_view().to_matrix()};
+    ASSERT_EQ(back.vertex_count(), 12u);
+    for (std::size_t r = 0; r < 12; ++r) {
+      EXPECT_EQ(std::memcmp(back.vector(r).data(), e.vector(r).data(),
+                            7 * sizeof(float)),
+                0);
+    }
   }
 }
 
@@ -167,42 +173,41 @@ TEST_F(QuantSnapshotTest, QuantOnlySnapshotRejectsFloatReaders) {
   const auto p = path("nofloat.v2vsnap");
   b.write(p);
 
-  const auto snap = MappedSnapshot::open(p);
-  EXPECT_FALSE(snap.has_floats());
-  EXPECT_EQ(snap.header().dtype, kDtypeNone);
-  EXPECT_EQ(snap.rows(), 100u);
-
-  // The float-matrix readers must fail typed, not misread zero rows.
-  try {
-    (void)MappedEmbedding::open(p);
-    ADD_FAILURE() << "MappedEmbedding accepted a dtype-none snapshot";
-  } catch (const SnapshotError& err) {
-    EXPECT_EQ(err.code(), SnapshotErrorCode::kBadDtype);
-  }
-  try {
-    (void)EmbeddingStore::load(p);
-    ADD_FAILURE() << "EmbeddingStore::load accepted a dtype-none snapshot";
-  } catch (const SnapshotError& err) {
-    EXPECT_EQ(err.code(), SnapshotErrorCode::kBadDtype);
+  // No float matrix to read, not zero rows misread: the header says dtype
+  // none, and there is no "fmat" section.
+  for (const auto mode : {MappedSnapshot::MapMode::kAuto,
+                          MappedSnapshot::MapMode::kBuffered}) {
+    const auto snap = MappedSnapshot::open(p, mode);
+    EXPECT_FALSE(snap.has_floats());
+    EXPECT_FALSE(snap.has_section("fmat"));
+    EXPECT_EQ(snap.header().dtype, kDtypeNone);
+    EXPECT_EQ(snap.header().row_stride, 0u);
+    EXPECT_EQ(snap.header().data_bytes, 0u);
+    EXPECT_EQ(snap.rows(), 100u);
   }
 }
 
 TEST_F(QuantSnapshotTest, V1FileAppearsAsSyntheticFmatSection) {
   const auto e = make_embedding(9, 5, 41);
   const auto p = path("v1.v2vsnap");
-  EmbeddingStore::save(e, p);
+  write_v1_snapshot(EmbeddingView::of(e), p);
 
-  const auto snap = MappedSnapshot::open(p);
-  EXPECT_EQ(snap.header().version, kSnapshotVersion);
-  ASSERT_EQ(snap.sections().size(), 1u);
-  const auto* fmat = find(snap, "fmat");
-  ASSERT_NE(fmat, nullptr);
-  EXPECT_EQ(fmat->offset, snap.header().data_offset);
-  EXPECT_EQ(fmat->bytes, snap.header().data_bytes);
-  ASSERT_TRUE(snap.has_floats());
-  EXPECT_EQ(std::memcmp(snap.float_view().row(3).data(), e.vector(3).data(),
-                        5 * sizeof(float)),
-            0);
+  for (const auto mode : {MappedSnapshot::MapMode::kAuto,
+                          MappedSnapshot::MapMode::kBuffered}) {
+    const auto snap = MappedSnapshot::open(p, mode);
+    EXPECT_EQ(snap.header().version, kSnapshotVersion);
+    ASSERT_EQ(snap.sections().size(), 1u);
+    const auto* fmat = find(snap, "fmat");
+    ASSERT_NE(fmat, nullptr);
+    EXPECT_EQ(fmat->offset, snap.header().data_offset);
+    EXPECT_EQ(fmat->bytes, snap.header().data_bytes);
+    ASSERT_TRUE(snap.has_floats());
+    for (std::size_t r = 0; r < 9; ++r) {
+      EXPECT_EQ(std::memcmp(snap.float_view().row(r).data(), e.vector(r).data(),
+                            5 * sizeof(float)),
+                0);
+    }
+  }
 }
 
 TEST_F(QuantSnapshotTest, CorruptionMatrixOverQuantSections) {

@@ -17,9 +17,10 @@
 #include <unistd.h>
 #endif
 
+#include "v1_snapshot.hpp"
 #include "v2v/common/rng.hpp"
+#include "v2v/embed/embedding.hpp"
 #include "v2v/store/embedding_view.hpp"
-#include "v2v/store/snapshot.hpp"
 
 namespace v2v::store {
 namespace {
@@ -146,8 +147,9 @@ TEST_F(TrainerStateTest, RoundTripPreservesEveryField) {
 
 TEST_F(TrainerStateTest, PlainSnapshotStaysVersion2) {
   const auto p = path("plain.v2vsnap");
+  const auto e = make_embedding(8, 4, 3);
   SnapshotBuilder builder(8, 4);
-  builder.set_float_matrix(EmbeddingView::of(make_embedding(8, 4, 3)));
+  builder.set_float_matrix(EmbeddingView::of(e));
   builder.write(p);
   const auto snap = MappedSnapshot::open(p);
   EXPECT_EQ(snap.header().version, kSnapshotVersionSections);
@@ -156,10 +158,10 @@ TEST_F(TrainerStateTest, PlainSnapshotStaysVersion2) {
 }
 
 TEST_F(TrainerStateTest, ForwardCompatAcrossVersions) {
-  // v1: legacy fixed-header file from EmbeddingStore::save.
+  // v1: the fixed-header file earlier builds wrote.
   const auto e = make_embedding(10, 5, 7);
   const auto p1 = path("v1.v2vsnap");
-  EmbeddingStore::save(e, p1);
+  write_v1_snapshot(EmbeddingView::of(e), p1);
   const auto s1 = MappedSnapshot::open(p1);
   EXPECT_EQ(s1.header().version, kSnapshotVersion);
   EXPECT_FALSE(has_trainer_state(s1));
@@ -192,8 +194,9 @@ TEST_F(TrainerStateTest, ForwardCompatAcrossVersions) {
 
 TEST_F(TrainerStateTest, CorruptionMatrixOverTrainerSections) {
   const auto p = path("corrupt.v2vsnap");
+  const auto e = make_embedding(12, 4, 5);
   SnapshotBuilder builder(12, 4);
-  builder.set_float_matrix(EmbeddingView::of(make_embedding(12, 4, 5)));
+  builder.set_float_matrix(EmbeddingView::of(e));
   add_trainer_state(builder, make_checkpoint(12, 4, 21));
   builder.write(p);
   const auto good = read_file(p);
@@ -231,8 +234,9 @@ TEST_F(TrainerStateTest, MalformedSectionsRejectedWithTypedError) {
   auto write_sections = [&](std::vector<std::uint8_t> syn1,
                             std::vector<std::uint8_t> freq,
                             std::vector<std::uint8_t> lr) {
+    const auto e = make_embedding(4, 3, 2);
     SnapshotBuilder builder(4, 3);
-    builder.set_float_matrix(EmbeddingView::of(make_embedding(4, 3, 2)));
+    builder.set_float_matrix(EmbeddingView::of(e));
     builder.add_section(kSectionTrainerSyn1, std::move(syn1));
     builder.add_section(kSectionTrainerFreq, std::move(freq));
     builder.add_section(kSectionTrainerLrState, std::move(lr));
@@ -300,8 +304,9 @@ TEST_F(TrainerStateTest, MalformedSectionsRejectedWithTypedError) {
   expect_bad();
 
   // A single missing section: not resume-capable at all.
+  const auto e = make_embedding(4, 3, 2);
   SnapshotBuilder partial(4, 3);
-  partial.set_float_matrix(EmbeddingView::of(make_embedding(4, 3, 2)));
+  partial.set_float_matrix(EmbeddingView::of(e));
   partial.add_section(kSectionTrainerSyn1, good_syn1);
   partial.write(p);
   const auto snap = MappedSnapshot::open(p);

@@ -92,9 +92,6 @@ ELEMENTWISE_SCOPES = ("src/v2v/embed/", "src/v2v/ml/", "src/v2v/store/",
 EMBEDDING_SCAN_ALLOWLIST: set[str] = {
     # The trainer IS the producer: its epoch loop walks every row by design.
     "src/v2v/embed/trainer.cpp",
-    # The storage layer streams every row to/from disk; that is a copy, not
-    # a similarity scan, but its loops share the same shape.
-    "src/v2v/store/snapshot.cpp",
 }
 
 ENGINE_RE = re.compile(
